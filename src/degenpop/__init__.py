@@ -1,8 +1,8 @@
 """Coherent population transfer in degenerate few-state systems.
 
 Closed-form dressed-state propagation, complete-transfer design rules,
-a reference Runge-Kutta integrator for the non-degenerate equations,
-and a CLI front end.
+a reference unitary integrator for the non-degenerate equations, and a
+CLI front end.
 """
 
 from .analytic import (Trajectory, amplitudes_at, amplitudes_many,

@@ -108,17 +108,22 @@ def enumerate_designs(max_product: int) -> list[ControlDesign]:
 def design_nstate(n: int, n0: int) -> ControlDesign:
     """Symmetric n-state transfer design for odd n0.
 
-    A(t0) = n0 * pi * sqrt(9 / (18 (n-2) + 4 (n-3)/(n-2))), with
-    alpha = -(n-3)/3 and beta = 1.
+    With s = (n-3)/(n-2), the reduced spectrum reaches P2 = 1 when
+
+        A(t0) = n0 * pi * sqrt(9 / (18 (n-2) + 4 s^2))
+        alpha = -(n-3) / (3 (n-2)) = -s/3
+
+    and beta = 1.  At n = 3 this is alpha = 0, A(t0) = n0 pi / sqrt(2).
     """
     if n < 3:
         raise DimensionTooSmall("need n >= 3")
     if not isinstance(n0, int) or n0 % 2 == 0:
         raise InvalidQuantumNumbers("n0 must be an odd integer")
     m = n - 2
-    area = n0 * math.pi * math.sqrt(9.0 / (18.0 * m + 4.0 * (n - 3) / m))
+    s = (n - 3) / m
+    area = n0 * math.pi * math.sqrt(9.0 / (18.0 * m + 4.0 * s * s))
     return ControlDesign(
-        family=N_STATE_SYM, action_area=area, alpha=-(n - 3) / 3.0,
+        family=N_STATE_SYM, action_area=area, alpha=(3 - n) / (3.0 * m),
         beta=1.0, sign=1 if n0 > 0 else -1, n=n, n0=n0,
     )
 

@@ -1,0 +1,109 @@
+import json
+import math
+
+import pytest
+
+from degenpop import cli
+
+
+def write_config(tmp_path, mode="numeric", energies=0, **extra):
+    cfg = {
+        "model": {"n": 3, "alpha": 0.3, "beta": 1.0, "eps": 0, "energies": energies},
+        "pulse": {"kind": "harmonic", "chi": 1.0, "omega": 1.0},
+        "run": {"mode": mode, "t_end": 0.5 * math.pi, "dt": 0.005},
+        "output": {"path": str(tmp_path / "out.csv"), "format": "csv"},
+    }
+    for section, values in extra.items():
+        cfg[section].update(values)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def run_twice(argv, out):
+    """Exit codes and output bytes of two identical runs."""
+    codes, texts = [], []
+    for _ in range(2):
+        out.unlink(missing_ok=True)
+        codes.append(cli.main(argv))
+        texts.append(out.read_bytes())
+    return codes, texts
+
+
+def test_leakage_exits_zero_and_repeats_bytes(tmp_path):
+    out = tmp_path / "leakage.csv"
+    codes, texts = run_twice(["--out", str(out), "leakage",
+                                        "--ratios", "1,10,inf"], out)
+    assert codes == [0, 0]
+    assert texts[0] == texts[1]
+    lines = texts[0].decode().splitlines()
+    assert lines[0] == "ratio,leakage"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 10.0, math.inf]
+
+
+def test_kick_exits_zero_and_repeats_bytes(tmp_path):
+    out = tmp_path / "kick.csv"
+    argv = ["--out", str(out), "kick", "--A0", "1.5707963267948966",
+            "--widths", "0.4,0.1", "--n", "3", "--alpha", "0.2"]
+    codes, texts = run_twice(argv, out)
+    assert codes == [0, 0]
+    assert texts[0] == texts[1]
+    assert texts[0].decode().splitlines()[0] == "width,P2_final"
+
+
+@pytest.mark.parametrize("mode", ["numeric", "compare"])
+def test_simulate_integrator_modes_exit_zero_and_repeat_bytes(tmp_path, capsys, mode):
+    config = write_config(tmp_path, mode=mode)
+    codes, texts = run_twice(["--config", str(config), "simulate"],
+                             tmp_path / "out.csv")
+    assert codes == [0, 0]
+    assert texts[0] == texts[1]
+    rows = texts[0].decode().splitlines()
+    assert rows[0] == "t,P1,P2,P3,closure"
+    assert len(rows) == 1 + 1 + math.ceil(0.5 * math.pi / 0.005 - 1e-9)
+    summary = capsys.readouterr().out
+    assert ("max_dev=" in summary) == (mode == "compare")
+
+
+def test_mode_flag_overrides_config(tmp_path):
+    config = write_config(tmp_path, mode="analytic", run={"samples": 11})
+    assert cli.main(["--config", str(config), "simulate", "--mode", "numeric"]) == 0
+    assert len((tmp_path / "out.csv").read_text().splitlines()) > 12
+
+
+def test_simulate_without_config_exits_two(capsys):
+    assert cli.main(["simulate"]) == 2
+    assert "requires --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["top", "model", "pulse", "run", "output"])
+def test_unknown_config_key_exits_two(tmp_path, capsys, section):
+    config = write_config(tmp_path)
+    raw = json.loads(config.read_text())
+    (raw if section == "top" else raw[section])["bogus"] = 1
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    assert "unknown" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_two(tmp_path):
+    assert cli.main(["--config", str(tmp_path / "absent.json"), "simulate"]) == 2
+
+
+def test_compare_beyond_tolerance_exits_three(tmp_path, capsys):
+    config = write_config(tmp_path, mode="compare", energies=[0.0, 0.2, -0.1])
+    assert cli.main(["--tol", "1e-30", "--config", str(config), "simulate"]) == 3
+    assert "exceeds tolerance" in capsys.readouterr().err
+    assert (tmp_path / "out.csv").exists()
+
+
+def test_bad_widths_exit_two(tmp_path):
+    out = tmp_path / "kick.csv"
+    assert cli.main(["--out", str(out), "kick", "--A0", "1.0", "--widths", "0.1,0.4"]) == 2
+    assert not out.exists()
+
+
+def test_design_nstate_prints_corrected_design(capsys):
+    # n = 4: s = 1/2, A(t0) = pi sqrt(9/37) = 1.5494, alpha = -1/6
+    assert cli.main(["design", "n-state", "--n", "4", "--n0", "1"]) == 0
+    assert capsys.readouterr().out == "A_t0=1.549 alpha=-0.167 beta=1\n"

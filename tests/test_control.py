@@ -1,0 +1,49 @@
+import math
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from degenpop.control import design_3state, design_nstate, enumerate_designs
+
+
+def w_full_nstate(n, alpha):
+    """Unreduced symmetric n-state strength matrix, zero self coupling.
+
+    States 1 and 2 couple to each other with alpha and to every manifold
+    state with 1; manifold states couple among themselves with 1/(n-2).
+    """
+    w = np.full((n, n), 1.0 / (n - 2))
+    w[:2, :] = 1.0
+    w[:, :2] = 1.0
+    w[0, 1] = w[1, 0] = alpha
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def transferred(w, action):
+    """P2 after propagating state 1 to the given action with expm."""
+    return abs(expm(-1j * action * w)[1, 0]) ** 2
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_three_state_designs_reach_full_transfer(sign):
+    designs = enumerate_designs(200)
+    assert len(designs) > 20
+    for d in designs:
+        d = design_3state(d.n1, d.n2, sign)
+        w = np.array([[0.0, d.alpha, d.beta], [d.alpha, 0.0, 1.0], [d.beta, 1.0, 0.0]])
+        assert abs(transferred(w, d.action_area) - 1.0) < 1e-12, (d.n1, d.n2, sign)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n0", [1, 3, 5, 7])
+def test_nstate_designs_reach_full_transfer(n, n0):
+    d = design_nstate(n, n0)
+    assert abs(transferred(w_full_nstate(n, d.alpha), d.action_area) - 1.0) < 1e-12
+
+
+def test_nstate_design_at_three_states():
+    d = design_nstate(3, 1)
+    assert d.alpha == 0.0 and not math.copysign(1.0, d.alpha) < 0
+    assert d.action_area == pytest.approx(math.pi / math.sqrt(2.0), abs=1e-15)
