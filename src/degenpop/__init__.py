@@ -17,14 +17,11 @@ from .control import (ControlDesign, design_3state, design_nstate,
                       target_2state, two_state_design)
 from .coupling import (CouplingModel, pulse_from_dict, pulse_to_dict,
                        standard_2state, standard_3state, symmetric_nstate)
-from .dressed import (DressedBasis, decompose_2state, decompose_3state,
-                      decompose_general, decompose_symmetric_nstate,
-                      eigen_residual, solve_cubic)
+from .dressed import DressedBasis, decompose_general, eigen_residual
 from .errors import (ConfigError, DegenerateSpectrum, DegenpopError,
                      DimensionTooSmall, DomainError, FirstComponentZero,
                      GridMismatch, InvalidQuantumNumbers, OutOfDomain,
-                     PointwiseUndefined, SingularTransfer, Unattainable,
-                     UnresolvedTimescale)
+                     PointwiseUndefined, Unattainable, UnresolvedTimescale)
 from .numeric import (IntegratorConfig, compare, integrate, kick_convergence,
                       leakage_scan)
 from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
@@ -44,13 +41,11 @@ __all__ = [
     "target_2state", "two_state_design",
     "CouplingModel", "pulse_from_dict", "pulse_to_dict", "standard_2state",
     "standard_3state", "symmetric_nstate",
-    "DressedBasis", "decompose_2state", "decompose_3state",
-    "decompose_general", "decompose_symmetric_nstate", "eigen_residual",
-    "solve_cubic",
+    "DressedBasis", "decompose_general", "eigen_residual",
     "ConfigError", "DegenerateSpectrum", "DegenpopError", "DimensionTooSmall",
     "DomainError", "FirstComponentZero", "GridMismatch",
     "InvalidQuantumNumbers", "OutOfDomain", "PointwiseUndefined",
-    "SingularTransfer", "Unattainable", "UnresolvedTimescale",
+    "Unattainable", "UnresolvedTimescale",
     "IntegratorConfig", "compare", "integrate", "kick_convergence",
     "leakage_scan",
     "DeltaKickPulse", "HarmonicPulse", "Pulse", "RectKickPulse",

@@ -1,10 +1,14 @@
 """Closed-form propagation in the dressed basis, and related formulas.
 
-The whole time dependence enters through the envelope action A(t): bare
-amplitudes at action A are ``a(A) = M^-1 diag(exp(-i z A)) M a(0)``.
-Starting from state 1 the needed matrix elements are just the first
-column of M (all ones), so propagation reduces to one complex
-matrix-vector product per requested action value.
+The whole time dependence enters through the envelope action A(t).
+Starting from state 1 the bare amplitudes at action A are
+
+    a(A) = e_1 + D^-1 Q (e^{-izA} - 1) Q^T e_1 = e_1 + m_inv (e^{-izA} - 1),
+
+with ``S = D r D^-1 = Q diag(z) Q^T`` the symmetrized strength matrix
+(see :mod:`degenpop.dressed`).  Propagation is one complex
+matrix-vector product per requested action value.  Written around
+``e^{-izA} - 1`` the sum returns ``e_1`` exactly at A = 0.
 """
 
 from __future__ import annotations
@@ -40,15 +44,17 @@ class Trajectory:
 
 def amplitudes_at(basis: DressedBasis, action: float) -> np.ndarray:
     """Bare amplitudes at a single action value, starting from state 1."""
-    phases = np.exp(-1j * basis.z * float(action))
-    return basis.m_inv @ phases
+    return amplitudes_many(basis, np.array([float(action)]))[0]
 
 
 def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     """Bare amplitudes at many action values; rows index the actions."""
     actions = np.asarray(actions, dtype=float)
     phases = np.exp(-1j * np.outer(actions, basis.z))
-    return phases @ basis.m_inv.T
+    phases -= 1.0
+    amps = phases @ basis.m_inv.T
+    amps[:, 0] += 1.0
+    return amps
 
 
 def probabilities_at(basis: DressedBasis, action: float,
@@ -73,7 +79,7 @@ def probabilities_cosine_form(basis: DressedBasis, action: float,
                               state: int) -> float:
     """Population of ``state`` via the explicit double cosine sum.
 
-    Cross-check path: expands |sum_i (M^-1)_{state,i} e^{-i z_i A}|^2 into
+    Cross-check path: expands |sum_i m_inv[state-1, i] e^{-i z_i A}|^2 into
     a double sum over cosine terms instead of squaring the complex value.
     """
     row = basis.m_inv[state - 1]
@@ -179,8 +185,8 @@ def flatness_frequency(p_cr: float, t_s: float) -> float:
     """
     if not 0.0 < p_cr <= 1.0:
         raise DomainError("p_cr must lie in (0, 1]")
-    if t_s <= 0.0:
-        raise DomainError("t_s must be positive")
+    if not 0.0 < t_s < math.inf:
+        raise DomainError("t_s must be positive and finite")
     return math.sqrt(4.0 / np.pi) * p_cr ** 0.25 / t_s
 
 

@@ -215,12 +215,17 @@ def cmd_kick(args) -> int:
     widths = _parse_floats(args.widths, "widths")
     if not widths:
         raise ConfigError("need at least one width")
+    if not all(math.isfinite(w) for w in widths):
+        raise ConfigError("widths must be finite")
     t0 = args.t0 if args.t0 is not None else max(1.0, widths[0])
-    placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
-    if args.n == 2:
-        model = standard_2state(0.0, 0.0, placeholder)
-    else:
-        model = standard_3state(args.alpha, 1.0, np.zeros(3), placeholder)
+    try:
+        placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
+        if args.n == 2:
+            model = standard_2state(0.0, 0.0, placeholder)
+        else:
+            model = standard_3state(args.alpha, 1.0, np.zeros(3), placeholder)
+    except ValueError as exc:
+        raise ConfigError(f"invalid kick: {exc}") from exc
     rows = numeric.kick_convergence(model, args.a0, t0, widths)
     lines = ["width,P2_final"]
     lines += [f"{w:.17g},{p2:.17g}" for w, p2 in rows]
@@ -295,7 +300,7 @@ def _build_pulse(section) -> Pulse:
         raise ConfigError("custom_sampled needs samples or samples_file")
     try:
         return pulse_from_dict(sec)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, IndexError) as exc:
         raise ConfigError(f"invalid pulse: {exc}") from exc
 
 
@@ -334,19 +339,19 @@ def _build_model(section, pulse: Pulse) -> CouplingModel:
                 raise ConfigError("manifold model takes a scalar eps")
             model = symmetric_nstate(n, _as_number(sec["alpha"], "model.alpha"),
                                      float(eps), pulse)
+        if "energies" in sec:
+            energies = sec["energies"]
+            if isinstance(energies, (int, float)):
+                energies = [float(energies)] * model.n
+            if (not isinstance(energies, list) or len(energies) != model.n
+                    or not all(isinstance(v, (int, float)) for v in energies)):
+                raise ConfigError(
+                    f"model.energies must be a number or a list of {model.n}")
+            model = model.with_energies([float(v) for v in energies])
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid model: {exc}") from exc
-    if "energies" in sec:
-        energies = sec["energies"]
-        if isinstance(energies, (int, float)):
-            energies = [float(energies)] * model.n
-        if (not isinstance(energies, list) or len(energies) != model.n
-                or not all(isinstance(v, (int, float)) for v in energies)):
-            raise ConfigError(
-                f"model.energies must be a number or a list of {model.n}")
-        model = model.with_energies([float(v) for v in energies])
     return model
 
 
@@ -360,8 +365,8 @@ def _eps_vector(eps, n: int) -> np.ndarray:
 
 
 def _as_number(value, name: str) -> float:
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number")
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number")
     return float(value)
 
 
@@ -388,9 +393,9 @@ def _write_output(traj, path: str, fmt: str) -> None:
         text = analytic.trajectory_to_csv(traj)
     else:
         doc = {
-            "t": [float(v) for v in traj.times],
-            "P": [[float(p) for p in row] for row in traj.probabilities],
-            "closure": [float(v) for v in traj.closure],
+            "t": traj.times.tolist(),
+            "P": traj.probabilities.tolist(),
+            "closure": traj.closure.tolist(),
         }
         text = json.dumps(doc, sort_keys=True)
     with open(path, "w", newline="") as fh:

@@ -46,6 +46,8 @@ class CouplingModel:
         r = np.array(self.r, dtype=float)
         eps = np.array(self.eps, dtype=float)
         energies = np.array(self.energies, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (r, eps, energies)):
+            raise ValueError("r, eps and energies must be finite")
         if r.shape != (self.n, self.n):
             raise ValueError("r must be n-by-n")
         if eps.shape != (self.n,) or energies.shape != (self.n,):
@@ -89,6 +91,19 @@ class CouplingModel:
         if self.reduced_multiplicity is not None:
             w[2] = float(self.reduced_multiplicity)
         return w
+
+    def symmetrized(self) -> np.ndarray:
+        """``D r D^-1`` with ``D = diag(sqrt(closure weights))``, real symmetric.
+
+        In the reduced manifold form rows 1-2 carry the multiplicity m on
+        their manifold entries and row 3 carries 1; scaling by D puts
+        sqrt(m) on both sides (the bright-state scaling of Morris & Shore,
+        Phys. Rev. A 27, 906 (1983)).  The mean with the transpose removes
+        rounding.
+        """
+        d = np.sqrt(self.closure_weights)
+        s = self.r * d[:, None] / d[None, :]
+        return 0.5 * (s + s.T)
 
     def coupling_at(self, t: float) -> np.ndarray:
         """Instantaneous coupling matrix ``r * V(t)``."""

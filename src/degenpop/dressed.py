@@ -1,342 +1,77 @@
-"""Dressed-state decompositions of the coupled dynamics.
+"""Dressed-state basis of the coupled dynamics.
 
 Because every coupling shares one envelope, the strength matrix ``W = r``
-is constant and the degenerate propagator is ``exp(-i A(t) W)``.  Each
-dressed combination ``c_i = sum_j x_ij a_j`` built from a left eigenrow
-``x_i`` of W (eigenvalue ``z_i``) evolves as a pure phase
-``c_i(t) = exp(-i z_i A(t)) c_i(0)``.  Rows are normalized to leading
-component 1 and collected into ``M``; inverting M recovers the bare
-amplitudes.
+is constant and the degenerate propagator is ``exp(-i A(t) W)``.  With
+``D = diag(d)`` and ``d = sqrt(closure weights)`` the matrix
+``S = D r D^-1`` is real symmetric (see :meth:`CouplingModel.symmetrized`),
+so one ``eigh`` gives ``S = Q diag(z) Q^T`` with Q orthogonal.  Starting
+from state 1,
 
-Conventions
------------
-Rows are ordered by descending eigenvalue, which makes M reproducible.
-The determinant is the determinant of M as assembled (its sign follows
-from the ordering; probabilities never depend on it).
+    a(A) = D^-1 Q e^{-izA} Q^T e_1 = e_1 + D^-1 Q (e^{-izA} - 1) Q^T e_1,
+
+so each bare amplitude is a sum of pure phases ``e^{-i z_i A}`` with real
+weights ``m_inv[k, i] = Q[k, i] Q[0, i] / d_k``.  For distinct
+eigenvalues ``m_inv`` is the paper's ``M^-1`` with dressed rows scaled to
+leading component 1; the rows of ``Q^T D`` are the same left eigenrows of
+W, unscaled.  Nothing is normalized by a leading component and nothing is
+inverted, so repeated eigenvalues and states that state 1 never reaches
+are handled exactly.
+
+Eigenvalues are in descending order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CouplingModel
-from .errors import (DegenerateSpectrum, DimensionTooSmall, FirstComponentZero,
-                     SingularTransfer)
-
-_DISTINCT_TOL = 1e-9
-_SINGULAR_TOL = 1e-12
-_FIRST_COMPONENT_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
-# rounding errors of a few ulps still count as a zero discriminant
-_ROUNDING_ULPS = 8.0
 
 
 @dataclass(frozen=True, eq=False)
 class DressedBasis:
-    """Left eigenrows of the strength matrix, packaged for propagation.
+    """Orthonormal eigenbasis of the symmetrized strength matrix.
 
     Attributes
     ----------
     n : int
         Dimension.
-    rows : ndarray
-        n-by-n matrix whose i-th row is the dressed combination
-        ``(1, x_i2, ..., x_in)``; first column all ones.
     z : ndarray
         Eigenvalues, descending.
+    q : ndarray
+        Orthogonal matrix; column i is the eigenvector of ``D r D^-1``
+        for ``z[i]``.
+    scale : ndarray
+        The diagonal of D, ``sqrt(closure weights)``.
     m_inv : ndarray
-        Inverse of ``rows``; its k-th row reconstructs bare amplitude k.
-    det : float
-        Determinant of ``rows``.
+        Phase weights: bare amplitude k at action A is
+        ``sum_i m_inv[k, i] exp(-i z_i A)``.
     """
 
     n: int
-    rows: np.ndarray
     z: np.ndarray
+    q: np.ndarray
+    scale: np.ndarray
     m_inv: np.ndarray
-    det: float
-
-    def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=float)
-        z = np.array(self.z, dtype=float)
-        m_inv = np.array(self.m_inv, dtype=float)
-        for a in (rows, z, m_inv):
-            a.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "m_inv", m_inv)
-        if np.max(np.abs(rows[:, 0] - 1.0)) > 1e-12:
-            raise FirstComponentZero("rows must have leading component 1")
-        gaps = np.abs(z[:, None] - z[None, :])[np.triu_indices(self.n, 1)]
-        if gaps.size and gaps.min() <= _DISTINCT_TOL:
-            raise DegenerateSpectrum("eigenvalues are not pairwise distinct")
-        if np.max(np.abs(rows @ m_inv - np.eye(self.n))) > 1e-10:
-            raise SingularTransfer("m_inv is not an inverse of rows")
-
-    @property
-    def m(self) -> np.ndarray:
-        """Alias: the dressed-combination matrix itself."""
-        return self.rows
-
-
-def decompose_2state(eps1: float, eps2: float) -> DressedBasis:
-    """Closed-form dressed pair for the two-state model.
-
-    With ``d = (eps2 - eps1)/2`` and ``h = sqrt(1 + d^2)`` the second
-    components are ``d +/- h`` and the eigenvalues ``(eps1+eps2)/2 +/- h``.
-    The spectrum is always split by at least 2, so this never degenerates.
-    """
-    d = 0.5 * (eps2 - eps1)
-    h = math.sqrt(1.0 + d * d)
-    mean = 0.5 * (eps1 + eps2)
-    x_hi, x_lo = d + h, d - h
-    rows = np.array([[1.0, x_hi], [1.0, x_lo]])
-    z = np.array([mean + h, mean - h])
-    det = x_lo - x_hi  # -2h with descending-eigenvalue ordering
-    m_inv = np.array([[x_lo, -x_hi], [-1.0, 1.0]]) / det
-    return DressedBasis(2, rows, z, m_inv, det)
-
-
-def decompose_3state(alpha: float, beta: float, eps) -> DressedBasis:
-    """Dressed triple for the general symmetric three-state model.
-
-    The second components solve a cubic whose coefficients are listed in
-    :func:`cubic_coefficients_3state`; each third component follows from
-    ``y = (alpha (x^2 - 1) + (eps1 - eps2) x) / (1 - beta x)`` except at
-    ``beta x = 1`` (0/0), where the eigenvector itself supplies y.  The
-    inverse is assembled by the 3x3 adjugate.
-    """
-    eps = np.asarray(eps, dtype=float)
-    w = np.array([
-        [eps[0], alpha, beta],
-        [alpha, eps[1], 1.0],
-        [beta, 1.0, eps[2]],
-    ])
-    z, rows = _left_eigenpairs(w, symmetric=True)
-    coeffs = cubic_coefficients_3state(alpha, beta, eps)
-    scale = max(abs(c) for c in coeffs)
-    for i in range(3):
-        x = rows[i, 1]
-        if scale > 1e-12:
-            x = _newton_polish(coeffs, x)
-        denom = 1.0 - beta * x
-        if abs(denom) > 1e-6 * (1.0 + abs(beta * x)):
-            y = (alpha * (x * x - 1.0) + (eps[0] - eps[1]) * x) / denom
-        else:
-            y = rows[i, 2]  # eigenvector fallback at the 0/0 point
-        z_alg = eps[0] + alpha * x + beta * y
-        if abs(z_alg - z[i]) < 1e-8 * (1.0 + abs(z[i])):
-            rows[i, 1], rows[i, 2] = x, y
-            z[i] = z_alg
-    return _assemble_3(rows, z)
-
-
-def decompose_symmetric_nstate(n: int, alpha: float, eps: float) -> DressedBasis:
-    """Dressed triple for the reduced symmetric n-state model.
-
-    The repeated-row structure forces second components {1, 1, -1}.  The
-    two third components on the x = 1 branch are the roots of
-
-        y^2 + (alpha - (n-3)/(n-2)) y - 2 (n-2) = 0,
-
-    and the x = -1 row has y = 0.  Eigenvalues are ``eps + alpha + y`` on
-    the first branch and ``eps - alpha`` on the second.  The root product
-    ``y+ y- = -2(n-2)`` is what makes the multiplicity-weighted
-    probability sum close to 1 along trajectories.
-    """
-    if n < 3:
-        raise DimensionTooSmall("need n >= 3")
-    m = n - 2
-    s = (n - 3) / (n - 2)
-    h = math.sqrt((s - alpha) ** 2 + 8.0 * m)
-    y_hi = 0.5 * ((s - alpha) + h)
-    y_lo = 0.5 * ((s - alpha) - h)
-    rows = np.array([
-        [1.0, 1.0, y_hi],
-        [1.0, 1.0, y_lo],
-        [1.0, -1.0, 0.0],
-    ])
-    z = np.array([eps + alpha + y_hi, eps + alpha + y_lo, eps - alpha])
-    order = np.argsort(-z, kind="stable")
-    return _assemble_3(rows[order], z[order])
 
 
 def decompose_general(model: CouplingModel) -> DressedBasis:
-    """Dressed basis of any coupling model via its left eigenproblem.
-
-    Symmetric matrices go through the symmetric eigensolver; the reduced
-    manifold form is diagonalizable with a real spectrum (it is similar to
-    a symmetric matrix by a diagonal scaling) and goes through the general
-    solver on the transpose.
-    """
-    w = model.r
-    z, rows = _left_eigenpairs(w, symmetric=model.reduced_multiplicity is None)
-    if model.n == 3:
-        return _assemble_3(rows, z)
-    if model.n == 2:
-        det = rows[1, 1] - rows[0, 1]
-        m_inv = np.array([[rows[1, 1], -rows[0, 1]], [-1.0, 1.0]]) / det
-        return DressedBasis(2, rows, z, m_inv, det)
-    det = float(np.linalg.det(rows))
-    if abs(det) <= _SINGULAR_TOL:
-        raise SingularTransfer("dressed matrix is singular")
-    return DressedBasis(model.n, rows, z, np.linalg.inv(rows), det)
-
-
-def cubic_coefficients_3state(alpha: float, beta: float, eps) -> tuple[float, float, float, float]:
-    """Coefficients (c3, c2, c1, c0) of the three-state second-component cubic."""
-    e1, e2, e3 = float(eps[0]), float(eps[1]), float(eps[2])
-    a, b = alpha, beta
-    c3 = (a * a - b * b) + a * b * (e3 - e2)
-    c2 = (b * (2.0 - a * a - b * b) + a * (2.0 * e1 - e2 - e3)
-          + b * (e1 - e2) * (e3 - e2))
-    c1 = ((2.0 * b * b - a * a - 1.0) + a * b * (2.0 * e2 - e1 - e3)
-          + (e1 - e2) * (e1 - e3))
-    c0 = b * (a * a - 1.0) - a * (e1 - e3)
-    return c3, c2, c1, c0
-
-
-def solve_cubic(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
-    """Real roots of ``c3 x^3 + c2 x^2 + c1 x + c0``, closed form.
-
-    Returns the real roots sorted ascending and listed with multiplicity:
-    a double root appears twice, a triple root three times.
-
-    Trigonometric method for three real roots, Cardano with a signed cube
-    root for one, and the repeated-root forms when the discriminant is zero
-    to within the rounding of its own computation; degrades gracefully to
-    the quadratic/linear cases when leading coefficients vanish.  Each simple
-    root gets one Newton polish.
-    """
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0), 1.0)
-    if abs(c3) <= 1e-14 * scale:
-        if abs(c2) <= 1e-14 * scale:
-            if abs(c1) <= 1e-14 * scale:
-                return ()
-            return (-c0 / c1,)
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            if -disc > _ROUNDING_ULPS * _EPS * (c1 * c1 + 4.0 * abs(c2 * c0)):
-                return ()
-            disc = 0.0  # a double root, pushed below zero by rounding
-        sq = math.sqrt(disc)
-        # numerically stable pair
-        q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0 else -0.5 * sq
-        roots = (q / c2, (c0 / q) if q != 0 else -c1 / (2.0 * c2))
-        return tuple(sorted(_newton_polish((0.0, c2, c1, c0), r) for r in roots))
-    coeffs = (c3, c2, c1, c0)
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    disc = 0.25 * q * q + p ** 3 / 27.0
-    # first-order rounding bounds of p, q and disc as computed above
-    p_err = _EPS * (abs(c) + b * b / 3.0)
-    q_err = _EPS * (abs(2.0 * b ** 3 / 27.0) + abs(b * c / 3.0) + abs(d))
-    disc_err = (0.5 * abs(q) * q_err + p * p / 9.0 * p_err
-                + _EPS * max(0.25 * q * q, abs(p) ** 3 / 27.0))
-    if abs(disc) <= _ROUNDING_ULPS * disc_err:
-        # Newton is not used on the repeated root: the derivative vanishes
-        # there, and a step can land on the simple root instead
-        if p > -_ROUNDING_ULPS * p_err:  # p == 0 with disc == 0 forces q == 0
-            return (shift,) * 3
-        double = shift - 1.5 * q / p
-        return tuple(sorted((_newton_polish(coeffs, shift + 3.0 * q / p), double, double)))
-    if disc > 0.0:
-        u = -0.5 * q + math.sqrt(disc)
-        v = -0.5 * q - math.sqrt(disc)
-        root = shift + math.copysign(abs(u) ** (1 / 3), u) + math.copysign(abs(v) ** (1 / 3), v)
-        return (_newton_polish(coeffs, root),)
-    rho = 2.0 * math.sqrt(-p / 3.0)
-    arg = max(-1.0, min(1.0, 3.0 * q / (p * rho)))
-    theta = math.acos(arg) / 3.0
-    roots = [shift + rho * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return tuple(sorted(_newton_polish(coeffs, r) for r in roots))
-
-
-def _newton_polish(coeffs: tuple[float, float, float, float], x: float,
-                   steps: int = 2) -> float:
-    c3, c2, c1, c0 = coeffs
-
-    def val(t):
-        return ((c3 * t + c2) * t + c1) * t + c0
-
-    best, best_v = x, abs(val(x))
-    for _ in range(steps):
-        deriv = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        if deriv == 0.0:
-            break
-        x = x - val(x) / deriv
-        if abs(val(x)) < best_v:
-            best, best_v = x, abs(val(x))
-    return best
-
-
-def _left_eigenpairs(w: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and left eigenrows normalized to x1 = 1."""
-    n = w.shape[0]
-    if symmetric:
-        z, vecs = np.linalg.eigh(w)
-        z = z.astype(float)
-        vecs = vecs.astype(float)
-    else:
-        zc, vc = np.linalg.eig(w.T)
-        if np.max(np.abs(zc.imag)) > 1e-12 or np.max(np.abs(vc.imag)) > 1e-9:
-            raise DegenerateSpectrum("complex spectrum; model is outside the real regime")
-        z, vecs = zc.real, vc.real
-    order = np.argsort(-z, kind="stable")
-    z = z[order]
-    vecs = vecs[:, order]
-    gaps = np.abs(np.subtract.outer(z, z))[np.triu_indices(n, 1)]
-    if gaps.size and gaps.min() <= _DISTINCT_TOL:
-        raise DegenerateSpectrum("eigenvalue gap below 1e-9")
-    lead = vecs[0, :]
-    if np.min(np.abs(lead)) <= _FIRST_COMPONENT_TOL:
-        raise FirstComponentZero("eigenvector leading component too small to normalize")
-    rows = (vecs / lead).T
-    z = _charpoly_polish(w, z)
-    return z, rows
-
-
-def _charpoly_polish(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Newton-refine eigenvalues on the characteristic polynomial."""
-    coeffs = np.poly(w)
-    deriv = np.polyder(coeffs)
-    out = z.copy()
-    for i, zi in enumerate(z):
-        best, best_v = zi, abs(np.polyval(coeffs, zi))
-        x = zi
-        for _ in range(4):
-            d = np.polyval(deriv, x)
-            if d == 0.0:
-                break
-            x = x - np.polyval(coeffs, x) / d
-            v = abs(np.polyval(coeffs, x))
-            if v < best_v and abs(x - zi) < 1e-6 * (1.0 + abs(zi)):
-                best, best_v = x, v
-        out[i] = best
-    return out
-
-
-def _assemble_3(rows: np.ndarray, z: np.ndarray) -> DressedBasis:
-    """Build a 3-state basis with the explicit adjugate inverse."""
-    x1, x2, x3 = rows[:, 1]
-    y1, y2, y3 = rows[:, 2]
-    det = (x1 * y2 + x2 * y3 + x3 * y1) - (x1 * y3 + x2 * y1 + x3 * y2)
-    if abs(det) <= _SINGULAR_TOL:
-        raise SingularTransfer("dressed matrix is singular")
-    m_inv = np.array([
-        [x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1],
-        [y2 - y3, y3 - y1, y1 - y2],
-        [x3 - x2, x1 - x3, x2 - x1],
-    ]) / det
-    return DressedBasis(3, rows, z, m_inv, det)
+    """Dressed basis of any coupling model by one symmetric eigensolve."""
+    scale = np.sqrt(model.closure_weights)
+    z, q = np.linalg.eigh(model.symmetrized())
+    z, q = z[::-1], q[:, ::-1]
+    m_inv = q * q[0] / scale[:, None]
+    for a in (z, q, scale, m_inv):
+        a.setflags(write=False)
+    return DressedBasis(model.n, z, q, scale, m_inv)
 
 
 def eigen_residual(basis: DressedBasis, w: np.ndarray) -> float:
-    """Max entrywise residual of the left eigenrelations against ``w``."""
-    res = basis.rows @ w - basis.z[:, None] * basis.rows
+    """Max entrywise residual of the left eigenrelations against ``w``.
+
+    The left eigenrows of ``w`` are the rows of ``Q^T D``.
+    """
+    rows = basis.q.T * basis.scale
+    res = rows @ w - basis.z[:, None] * rows
     return float(np.max(np.abs(res)))

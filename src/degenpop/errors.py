@@ -34,11 +34,7 @@ class InvalidQuantumNumbers(DegenpopError, ValueError):
 
 
 class DegenerateSpectrum(DegenpopError, ArithmeticError):
-    """Two dressed eigenvalues coincide; the basis construction fails."""
-
-
-class SingularTransfer(DegenpopError, ArithmeticError):
-    """The dressed-state matrix is numerically singular."""
+    """Two dressed eigenvalues coincide, so the dressed rows are not unique."""
 
 
 class FirstComponentZero(DegenpopError, ArithmeticError):

@@ -117,7 +117,7 @@ def integrate(model: CouplingModel, config: IntegratorConfig) -> Trajectory:
             f"dt={config.dt} exceeds the resolvable bound {bound}")
 
     weights = model.closure_weights
-    r_sym = _symmetrized(model)
+    r_sym = model.symmetrized()
     lo, hi, counts, h = _grid(pulse, config.t_end, config.dt)
     seg = np.repeat(np.arange(lo.size), counts)
     k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -281,17 +281,5 @@ def _prefix_states(steps, b):
     return (u @ entering[:, None, :, None]).reshape(-1, n)[:total]
 
 
-def _symmetrized(model: CouplingModel) -> np.ndarray:
-    """``D r D^-1`` with ``D = diag(sqrt(closure weights))``, real symmetric.
-
-    In the reduced manifold form rows 1-2 carry the multiplicity m on
-    their manifold entries and row 3 carries 1; scaling by D puts sqrt(m)
-    on both sides.  The mean with the transpose removes rounding.
-    """
-    d = np.sqrt(model.closure_weights)
-    s = model.r * d[:, None] / d[None, :]
-    return 0.5 * (s + s.T)
-
-
 def _spectral_radius(model: CouplingModel) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(_symmetrized(model)))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(model.symmetrized()))))

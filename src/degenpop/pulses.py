@@ -43,6 +43,7 @@ class HarmonicPulse:
     omega: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.chi, self.omega)
         if not self.omega > 0:
             raise ValueError("omega must be positive")
 
@@ -88,6 +89,7 @@ class DeltaKickPulse:
     center: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.area, self.center)
         if not self.center > 0:
             raise ValueError("kick center must be positive")
 
@@ -123,6 +125,7 @@ class RectKickPulse:
     width: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.area, self.center, self.width)
         if not self.width > 0:
             raise ValueError("width must be positive")
         if self.center - 0.5 * self.width < 0:
@@ -183,6 +186,7 @@ class SampledPulse:
         v = np.asarray(self.values_, dtype=float)
         if t.ndim != 1 or v.shape != t.shape or t.size < 2:
             raise ValueError("need matching 1-d arrays with at least 2 samples")
+        _require_finite(t, v)
         if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -379,3 +383,8 @@ def _check_times(t: np.ndarray) -> np.ndarray:
     if t.size and float(t.min()) < 0:
         raise OutOfDomain("times must be non-negative")
     return t
+
+
+def _require_finite(*params) -> None:
+    if not all(np.all(np.isfinite(p)) for p in params):
+        raise ValueError("pulse parameters must be finite")

@@ -1,0 +1,248 @@
+"""The paper's closed-form dressed states, kept as test oracles.
+
+Each decomposition returns plain arrays ``(z, rows, m_inv)``: eigenvalues
+in descending order, the left eigenrows of the strength matrix scaled to
+leading component 1 (the paper's ``M``), and ``M^-1``.  That scaling
+exists only for pairwise distinct eigenvalues and eigenrows with a
+non-zero leading component, so these oracles raise
+:class:`DegenerateSpectrum` or :class:`FirstComponentZero` outside that
+regime; the production basis in ``degenpop.dressed`` does not need them.
+
+:func:`w_full_nstate` builds the unreduced symmetric n-state matrix that
+the reduced manifold model stands for.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from degenpop.errors import DegenerateSpectrum, DimensionTooSmall, FirstComponentZero
+
+_DISTINCT_TOL = 1e-9
+_SINGULAR_TOL = 1e-12
+_FIRST_COMPONENT_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+# rounding errors of a few ulps still count as a zero discriminant
+_ROUNDING_ULPS = 8.0
+
+
+def left_residual(z, rows, w) -> float:
+    """Max entrywise residual of the left eigenrelations ``rows w = z rows``."""
+    return float(np.max(np.abs(rows @ w - z[:, None] * rows)))
+
+
+def w_full_nstate(n: int, alpha: float, eps: float = 0.0) -> np.ndarray:
+    """Unreduced symmetric n-state strength matrix, self coupling eps.
+
+    States 1 and 2 couple to each other with alpha and to every manifold
+    state with 1; manifold states couple among themselves with 1/(n-2).
+    """
+    w = np.full((n, n), 1.0 / (n - 2))
+    w[:2, :] = 1.0
+    w[:, :2] = 1.0
+    w[0, 1] = w[1, 0] = alpha
+    np.fill_diagonal(w, eps)
+    return w
+
+
+def decompose_2state(eps1: float, eps2: float):
+    """Closed-form dressed pair for the two-state model.
+
+    With ``d = (eps2 - eps1)/2`` and ``h = sqrt(1 + d^2)`` the second
+    components are ``d +/- h`` and the eigenvalues ``(eps1+eps2)/2 +/- h``.
+    The spectrum is always split by at least 2, so this never degenerates.
+    """
+    d = 0.5 * (eps2 - eps1)
+    h = math.sqrt(1.0 + d * d)
+    mean = 0.5 * (eps1 + eps2)
+    x_hi, x_lo = d + h, d - h
+    rows = np.array([[1.0, x_hi], [1.0, x_lo]])
+    z = np.array([mean + h, mean - h])
+    det = x_lo - x_hi  # -2h with descending-eigenvalue ordering
+    m_inv = np.array([[x_lo, -x_hi], [-1.0, 1.0]]) / det
+    return z, rows, m_inv
+
+
+def decompose_3state(alpha: float, beta: float, eps):
+    """Dressed triple for the general symmetric three-state model.
+
+    The second components solve a cubic whose coefficients are listed in
+    :func:`cubic_coefficients_3state`; each third component follows from
+    ``y = (alpha (x^2 - 1) + (eps1 - eps2) x) / (1 - beta x)`` except at
+    ``beta x = 1`` (0/0), where the eigenvector itself supplies y.  The
+    inverse is assembled by the 3x3 adjugate.
+    """
+    eps = np.asarray(eps, dtype=float)
+    w = np.array([
+        [eps[0], alpha, beta],
+        [alpha, eps[1], 1.0],
+        [beta, 1.0, eps[2]],
+    ])
+    z, rows = _left_eigenrows(w)
+    coeffs = cubic_coefficients_3state(alpha, beta, eps)
+    scale = max(abs(c) for c in coeffs)
+    for i in range(3):
+        x = rows[i, 1]
+        if scale > 1e-12:
+            x = _newton_polish(coeffs, x)
+        denom = 1.0 - beta * x
+        if abs(denom) > 1e-6 * (1.0 + abs(beta * x)):
+            y = (alpha * (x * x - 1.0) + (eps[0] - eps[1]) * x) / denom
+        else:
+            y = rows[i, 2]  # eigenvector fallback at the 0/0 point
+        z_alg = eps[0] + alpha * x + beta * y
+        if abs(z_alg - z[i]) < 1e-8 * (1.0 + abs(z[i])):
+            rows[i, 1], rows[i, 2] = x, y
+            z[i] = z_alg
+    return _assemble_3(rows, z)
+
+
+def decompose_symmetric_nstate(n: int, alpha: float, eps: float):
+    """Dressed triple for the reduced symmetric n-state model.
+
+    The repeated-row structure forces second components {1, 1, -1}.  The
+    two third components on the x = 1 branch are the roots of
+
+        y^2 + (alpha - (n-3)/(n-2)) y - 2 (n-2) = 0,
+
+    and the x = -1 row has y = 0.  Eigenvalues are ``eps + alpha + y`` on
+    the first branch and ``eps - alpha`` on the second.  The root product
+    ``y+ y- = -2(n-2)`` is what makes the multiplicity-weighted
+    probability sum close to 1 along trajectories.
+    """
+    if n < 3:
+        raise DimensionTooSmall("need n >= 3")
+    m = n - 2
+    s = (n - 3) / (n - 2)
+    h = math.sqrt((s - alpha) ** 2 + 8.0 * m)
+    y_hi = 0.5 * ((s - alpha) + h)
+    y_lo = 0.5 * ((s - alpha) - h)
+    rows = np.array([
+        [1.0, 1.0, y_hi],
+        [1.0, 1.0, y_lo],
+        [1.0, -1.0, 0.0],
+    ])
+    z = np.array([eps + alpha + y_hi, eps + alpha + y_lo, eps - alpha])
+    order = np.argsort(-z, kind="stable")
+    return _assemble_3(rows[order], z[order])
+
+
+def cubic_coefficients_3state(alpha: float, beta: float, eps) -> tuple[float, float, float, float]:
+    """Coefficients (c3, c2, c1, c0) of the three-state second-component cubic."""
+    e1, e2, e3 = float(eps[0]), float(eps[1]), float(eps[2])
+    a, b = alpha, beta
+    c3 = (a * a - b * b) + a * b * (e3 - e2)
+    c2 = (b * (2.0 - a * a - b * b) + a * (2.0 * e1 - e2 - e3)
+          + b * (e1 - e2) * (e3 - e2))
+    c1 = ((2.0 * b * b - a * a - 1.0) + a * b * (2.0 * e2 - e1 - e3)
+          + (e1 - e2) * (e1 - e3))
+    c0 = b * (a * a - 1.0) - a * (e1 - e3)
+    return c3, c2, c1, c0
+
+
+def solve_cubic(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
+    """Real roots of ``c3 x^3 + c2 x^2 + c1 x + c0``, closed form.
+
+    Returns the real roots sorted ascending and listed with multiplicity:
+    a double root appears twice, a triple root three times.
+
+    Trigonometric method for three real roots, Cardano with a signed cube
+    root for one, and the repeated-root forms when the discriminant is zero
+    to within the rounding of its own computation; degrades gracefully to
+    the quadratic/linear cases when leading coefficients vanish.  Each simple
+    root gets one Newton polish.
+    """
+    scale = max(abs(c3), abs(c2), abs(c1), abs(c0), 1.0)
+    if abs(c3) <= 1e-14 * scale:
+        if abs(c2) <= 1e-14 * scale:
+            if abs(c1) <= 1e-14 * scale:
+                return ()
+            return (-c0 / c1,)
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0.0:
+            if -disc > _ROUNDING_ULPS * _EPS * (c1 * c1 + 4.0 * abs(c2 * c0)):
+                return ()
+            disc = 0.0  # a double root, pushed below zero by rounding
+        sq = math.sqrt(disc)
+        # numerically stable pair
+        q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0 else -0.5 * sq
+        roots = (q / c2, (c0 / q) if q != 0 else -c1 / (2.0 * c2))
+        return tuple(sorted(_newton_polish((0.0, c2, c1, c0), r) for r in roots))
+    coeffs = (c3, c2, c1, c0)
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    shift = -b / 3.0
+    disc = 0.25 * q * q + p ** 3 / 27.0
+    # first-order rounding bounds of p, q and disc as computed above
+    p_err = _EPS * (abs(c) + b * b / 3.0)
+    q_err = _EPS * (abs(2.0 * b ** 3 / 27.0) + abs(b * c / 3.0) + abs(d))
+    disc_err = (0.5 * abs(q) * q_err + p * p / 9.0 * p_err
+                + _EPS * max(0.25 * q * q, abs(p) ** 3 / 27.0))
+    if abs(disc) <= _ROUNDING_ULPS * disc_err:
+        # Newton is not used on the repeated root: the derivative vanishes
+        # there, and a step can land on the simple root instead
+        if p > -_ROUNDING_ULPS * p_err:  # p == 0 with disc == 0 forces q == 0
+            return (shift,) * 3
+        double = shift - 1.5 * q / p
+        return tuple(sorted((_newton_polish(coeffs, shift + 3.0 * q / p), double, double)))
+    if disc > 0.0:
+        u = -0.5 * q + math.sqrt(disc)
+        v = -0.5 * q - math.sqrt(disc)
+        root = shift + math.copysign(abs(u) ** (1 / 3), u) + math.copysign(abs(v) ** (1 / 3), v)
+        return (_newton_polish(coeffs, root),)
+    rho = 2.0 * math.sqrt(-p / 3.0)
+    arg = max(-1.0, min(1.0, 3.0 * q / (p * rho)))
+    theta = math.acos(arg) / 3.0
+    roots = [shift + rho * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    return tuple(sorted(_newton_polish(coeffs, r) for r in roots))
+
+
+def _newton_polish(coeffs: tuple[float, float, float, float], x: float,
+                   steps: int = 2) -> float:
+    c3, c2, c1, c0 = coeffs
+
+    def val(t):
+        return ((c3 * t + c2) * t + c1) * t + c0
+
+    best, best_v = x, abs(val(x))
+    for _ in range(steps):
+        deriv = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if deriv == 0.0:
+            break
+        x = x - val(x) / deriv
+        if abs(val(x)) < best_v:
+            best, best_v = x, abs(val(x))
+    return best
+
+
+def _left_eigenrows(w: np.ndarray):
+    """Eigenvalues (descending) and left eigenrows of symmetric w, x1 = 1."""
+    z, vecs = np.linalg.eigh(w)
+    order = np.argsort(-z, kind="stable")
+    z = z[order]
+    vecs = vecs[:, order]
+    gaps = np.abs(np.subtract.outer(z, z))[np.triu_indices(w.shape[0], 1)]
+    if gaps.size and gaps.min() <= _DISTINCT_TOL:
+        raise DegenerateSpectrum("eigenvalue gap below 1e-9")
+    lead = vecs[0, :]
+    if np.min(np.abs(lead)) <= _FIRST_COMPONENT_TOL:
+        raise FirstComponentZero("eigenvector leading component too small to normalize")
+    return z, (vecs / lead).T
+
+
+def _assemble_3(rows: np.ndarray, z: np.ndarray):
+    """``(z, rows, m_inv)`` of a 3-state basis, inverse by the adjugate."""
+    x1, x2, x3 = rows[:, 1]
+    y1, y2, y3 = rows[:, 2]
+    det = (x1 * y2 + x2 * y3 + x3 * y1) - (x1 * y3 + x2 * y1 + x3 * y2)
+    if abs(det) <= _SINGULAR_TOL:
+        raise ArithmeticError("dressed matrix is singular")
+    m_inv = np.array([
+        [x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1],
+        [y2 - y3, y3 - y1, y1 - y2],
+        [x3 - x2, x1 - x3, x2 - x1],
+    ]) / det
+    return z, rows, m_inv

@@ -107,3 +107,68 @@ def test_design_nstate_prints_corrected_design(capsys):
     # n = 4: s = 1/2, A(t0) = pi sqrt(9/37) = 1.5494, alpha = -1/6
     assert cli.main(["design", "n-state", "--n", "4", "--n0", "1"]) == 0
     assert capsys.readouterr().out == "A_t0=1.549 alpha=-0.167 beta=1\n"
+
+
+PULSE_VARIANTS = {
+    "rect_kick": {"kind": "rect_kick", "A0": 1.0, "t0": 1.0, "width": 0.5},
+    "delta_kick": {"kind": "delta_kick", "A0": 1.0, "t0": 1.0},
+    "custom_sampled": {"kind": "custom_sampled",
+                       "samples": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]},
+}
+NUMERIC_KEYS = (
+    [("model", key, "harmonic")
+     for key in ("n", "alpha", "beta", "eps", "energies", "reduced_multiplicity")]
+    + [("pulse", key, "harmonic") for key in ("chi", "omega")]
+    + [("pulse", key, kind) for kind, sec in PULSE_VARIANTS.items()
+       for key in sec if key != "kind"]
+    + [("pulse", "samples[1][1]", "custom_sampled")]
+    + [("run", key, "harmonic") for key in ("t_end", "dt", "samples")]
+)
+
+
+def write_variant_config(tmp_path, kind):
+    """A valid config whose pulse is of the given kind, read in full."""
+    # an instantaneous kick cannot be integrated, so it runs analytic
+    config = write_config(tmp_path, mode="analytic" if kind == "delta_kick" else "compare")
+    raw = json.loads(config.read_text())
+    if kind != "harmonic":
+        raw["pulse"] = json.loads(json.dumps(PULSE_VARIANTS[kind]))
+    return config, raw
+
+
+@pytest.mark.parametrize("kind", ["harmonic", *PULSE_VARIANTS])
+def test_pulse_variant_configs_exit_zero(tmp_path, kind):
+    config, raw = write_variant_config(tmp_path, kind)
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section,key,kind", NUMERIC_KEYS,
+                         ids=[f"{s}.{k}-{p}" for s, k, p in NUMERIC_KEYS])
+def test_nonfinite_config_number_exits_two(tmp_path, capsys, section, key, kind, value):
+    config, raw = write_variant_config(tmp_path, kind)
+    if key == "samples[1][1]":
+        raw["pulse"]["samples"][1][1] = value
+    else:
+        raw[section][key] = value
+    config.write_text(json.dumps(raw))  # writes Infinity, -Infinity, NaN
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--A0", "inf", "--widths", "0.4"],
+    ["--A0", "nan", "--widths", "0.4"],
+    ["--A0", "1.0", "--widths", "inf"],
+    ["--A0", "1.0", "--widths", "0.4", "--t0=-inf"],
+    ["--A0", "1.0", "--widths", "0.4", "--n", "3", "--alpha", "nan"],
+], ids=["A0-inf", "A0-nan", "widths-inf", "t0--inf", "alpha-nan"])
+def test_nonfinite_kick_argument_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "kick.csv"
+    assert cli.main(["--out", str(out), "kick", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

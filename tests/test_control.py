@@ -2,23 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import w_full_nstate
 from scipy.linalg import expm
 
 from degenpop.control import design_3state, design_nstate, enumerate_designs
-
-
-def w_full_nstate(n, alpha):
-    """Unreduced symmetric n-state strength matrix, zero self coupling.
-
-    States 1 and 2 couple to each other with alpha and to every manifold
-    state with 1; manifold states couple among themselves with 1/(n-2).
-    """
-    w = np.full((n, n), 1.0 / (n - 2))
-    w[:2, :] = 1.0
-    w[:, :2] = 1.0
-    w[0, 1] = w[1, 0] = alpha
-    np.fill_diagonal(w, 0.0)
-    return w
 
 
 def transferred(w, action):
