@@ -15,8 +15,8 @@ from .control import (ControlDesign, design_3state, design_nstate,
                       designs_to_csv, enumerate_designs,
                       max_transfer_bound_2state, pulse_for_design,
                       target_2state, two_state_design)
-from .coupling import (CouplingModel, pulse_from_dict, pulse_to_dict,
-                       standard_2state, standard_3state, symmetric_nstate)
+from .coupling import (CouplingModel, standard_2state, standard_3state,
+                       symmetric_nstate)
 from .dressed import DressedBasis, decompose_general, eigen_residual
 from .errors import (ConfigError, DegenerateSpectrum, DegenpopError,
                      DimensionTooSmall, DomainError, FirstComponentZero,
@@ -25,9 +25,8 @@ from .errors import (ConfigError, DegenerateSpectrum, DegenpopError,
 from .numeric import (IntegratorConfig, compare, integrate, kick_convergence,
                       leakage_scan)
 from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
-                     SampledPulse, action, action_values, adaptive_simpson,
-                     envelope_value, load_sampled_csv, quadrature_action,
-                     save_sampled_csv, solve_time_for_action)
+                     SampledPulse, action_values, load_sampled_csv,
+                     pulse_from_dict, save_sampled_csv, solve_time_for_action)
 
 __version__ = "0.1.0"
 
@@ -39,8 +38,7 @@ __all__ = [
     "ControlDesign", "design_3state", "design_nstate", "designs_to_csv",
     "enumerate_designs", "max_transfer_bound_2state", "pulse_for_design",
     "target_2state", "two_state_design",
-    "CouplingModel", "pulse_from_dict", "pulse_to_dict", "standard_2state",
-    "standard_3state", "symmetric_nstate",
+    "CouplingModel", "standard_2state", "standard_3state", "symmetric_nstate",
     "DressedBasis", "decompose_general", "eigen_residual",
     "ConfigError", "DegenerateSpectrum", "DegenpopError", "DimensionTooSmall",
     "DomainError", "FirstComponentZero", "GridMismatch",
@@ -49,7 +47,6 @@ __all__ = [
     "IntegratorConfig", "compare", "integrate", "kick_convergence",
     "leakage_scan",
     "DeltaKickPulse", "HarmonicPulse", "Pulse", "RectKickPulse",
-    "SampledPulse", "action", "action_values", "adaptive_simpson",
-    "envelope_value", "load_sampled_csv", "quadrature_action",
+    "SampledPulse", "action_values", "load_sampled_csv", "pulse_from_dict",
     "save_sampled_csv", "solve_time_for_action",
 ]

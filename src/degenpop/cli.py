@@ -21,27 +21,28 @@ import sys
 import numpy as np
 
 from . import analytic, control, numeric
-from .coupling import (CouplingModel, pulse_from_dict, standard_2state,
-                       standard_3state, symmetric_nstate)
+from .coupling import (CouplingModel, standard_2state, standard_3state,
+                       symmetric_nstate)
 from .dressed import decompose_general
 from .errors import (ConfigError, DegenpopError, DomainError,
-                     InvalidQuantumNumbers)
-from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
-                     SampledPulse)
+                     InvalidQuantumNumbers, PointwiseUndefined,
+                     UnresolvedTimescale)
+from .pulses import (PULSE_KINDS, HarmonicPulse, Pulse, RectKickPulse,
+                     pulse_from_dict)
 
 _USAGE_EXIT = 2
 _NUMERIC_EXIT = 3
+# failures caused by the input: the configuration, the arguments or a file
+_USAGE_ERRORS = (ConfigError, InvalidQuantumNumbers, DomainError,
+                 PointwiseUndefined, UnresolvedTimescale, OSError,
+                 json.JSONDecodeError)
 
 _CONFIG_KEYS = {"model", "pulse", "run", "output"}
 _MODEL_KEYS = {"n", "alpha", "beta", "eps", "energies", "reduced_multiplicity"}
 _RUN_KEYS = {"mode", "t_end", "dt", "samples"}
 _OUTPUT_KEYS = {"path", "format"}
-_PULSE_KEYS = {
-    "harmonic": {"kind", "chi", "omega"},
-    "delta_kick": {"kind", "A0", "t0"},
-    "rect_kick": {"kind", "A0", "t0", "width"},
-    "custom_sampled": {"kind", "samples", "samples_file"},
-}
+# most rows a run may hold: each costs a few hundred bytes in memory
+_MAX_ROWS = 10 ** 7
 
 
 def main(argv=None) -> int:
@@ -52,10 +53,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, InvalidQuantumNumbers, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except (OSError, json.JSONDecodeError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (DegenpopError, ArithmeticError) as exc:
@@ -72,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="override the output file path")
     parser.add_argument("--tol", type=float, default=1e-6,
                         help="tolerance for compare runs (default 1e-6)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized sweeps (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a configured model")
@@ -122,14 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     if not args.config:
         raise ConfigError("simulate requires --config")
+    if not 0.0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and non-negative, got {args.tol}")
     with open(args.config) as fh:
         raw = json.load(fh)
-    cfg = _validate_config(raw, mode_override=args.mode)
-    model = cfg["model"]
-    run = cfg["run"]
-    out_path = args.out or cfg["output"]["path"]
-    fmt = cfg["output"]["format"]
-
+    model, run, output = _validate_config(raw, mode_override=args.mode)
     mode = run["mode"]
     max_dev = None
     if mode == "analytic":
@@ -145,12 +138,11 @@ def cmd_simulate(args) -> int:
             ref = analytic.trajectory(degenerate, basis, traj.times)
             max_dev = numeric.compare(traj, ref)
 
-    _write_output(traj, out_path, fmt)
-    t0 = _reference_time(model.pulse, traj)
-    idx = int(np.argmin(np.abs(traj.times - t0))) if traj.times.size else 0
-    p2 = traj.probabilities[idx, 1] if traj.times.size else 0.0
-    closure_err = (float(np.max(np.abs(traj.closure - 1.0)))
-                   if traj.times.size else 0.0)
+    _write_output(traj, args.out or output["path"], output["format"])
+    t0 = model.pulse.reference_time(float(traj.times[-1]))
+    idx = int(np.argmin(np.abs(traj.times - t0)))
+    p2 = traj.probabilities[idx, 1]
+    closure_err = float(np.max(np.abs(traj.closure - 1.0)))
     summary = (f"t0={t0:.17g} P2(t0)={p2:.17g} "
                f"closure_max_err={closure_err:.17g}")
     if max_dev is not None:
@@ -233,7 +225,8 @@ def cmd_kick(args) -> int:
     return 0
 
 
-def _validate_config(raw, mode_override=None) -> dict:
+def _validate_config(raw, mode_override=None):
+    """The model, the run and the output sections of a JSON configuration."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     _reject_unknown(raw, _CONFIG_KEYS, "top level")
@@ -258,8 +251,8 @@ def _validate_config(raw, mode_override=None) -> dict:
     if t_end < 0:
         raise ConfigError("run.t_end must be non-negative")
     samples = run.get("samples", 1001)
-    if not isinstance(samples, int) or samples < 1:
-        raise ConfigError("run.samples must be a positive integer")
+    if not isinstance(samples, int) or not 1 <= samples <= _MAX_ROWS:
+        raise ConfigError(f"run.samples must be an integer in [1, {_MAX_ROWS}]")
     dt = None
     if mode in ("numeric", "compare"):
         if "dt" not in run:
@@ -267,9 +260,8 @@ def _validate_config(raw, mode_override=None) -> dict:
         dt = _as_number(run["dt"], "run.dt")
         if dt <= 0:
             raise ConfigError("run.dt must be positive")
-        if isinstance(pulse, DeltaKickPulse):
-            raise ConfigError(
-                "instantaneous kick cannot be integrated; use rect_kick")
+        if t_end / dt > _MAX_ROWS:
+            raise ConfigError(f"run.t_end/run.dt exceeds {_MAX_ROWS} steps")
 
     output = dict(raw["output"])
     _reject_unknown(output, _OUTPUT_KEYS, "output")
@@ -279,27 +271,25 @@ def _validate_config(raw, mode_override=None) -> dict:
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
 
-    return {
-        "model": model,
-        "run": {"mode": mode, "t_end": t_end, "dt": dt, "samples": samples},
-        "output": {"path": output["path"], "format": fmt},
-    }
+    return (model, {"mode": mode, "t_end": t_end, "dt": dt, "samples": samples},
+            {"path": output["path"], "format": fmt})
 
 
 def _build_pulse(section) -> Pulse:
     sec = dict(section)
     kind = sec.get("kind")
-    if kind not in _PULSE_KEYS:
+    cls = PULSE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError(f"unknown pulse kind {kind!r}")
-    _reject_unknown(sec, _PULSE_KEYS[kind], "pulse")
-    required = _PULSE_KEYS[kind] - {"kind", "samples", "samples_file"}
-    for key in required:
-        if key not in sec:
-            raise ConfigError(f"pulse.{key} is required for kind {kind!r}")
-    if kind == "custom_sampled" and "samples" not in sec and "samples_file" not in sec:
-        raise ConfigError("custom_sampled needs samples or samples_file")
+    _reject_unknown(sec, {"kind", *cls.schema}, "pulse")
+    for key, expected in cls.schema.items():
+        if expected is float and key in sec:
+            sec[key] = _as_number(sec[key], f"pulse.{key}")
     try:
         return pulse_from_dict(sec)
+    except KeyError as exc:
+        raise ConfigError(
+            f"pulse.{exc.args[0]} is required for kind {kind!r}") from exc
     except (ValueError, TypeError, IndexError) as exc:
         raise ConfigError(f"invalid pulse: {exc}") from exc
 
@@ -317,14 +307,14 @@ def _build_model(section, pulse: Pulse) -> CouplingModel:
             for key in ("alpha", "beta", "reduced_multiplicity"):
                 if key in sec:
                     raise ConfigError(f"model.{key} does not apply at n=2")
-            e = _eps_vector(eps, 2)
+            e = _vector(eps, 2, "model.eps")
             model = standard_2state(e[0], e[1], pulse)
         elif n == 3 and multiplicity is None:
             if "alpha" not in sec:
                 raise ConfigError("model.alpha is required at n=3")
             beta = _as_number(sec.get("beta", 1.0), "model.beta")
             model = standard_3state(_as_number(sec["alpha"], "model.alpha"),
-                                    beta, _eps_vector(eps, 3), pulse)
+                                    beta, _vector(eps, 3, "model.eps"), pulse)
         else:
             if n < 3:
                 raise ConfigError("model.n must be at least 2")
@@ -335,37 +325,28 @@ def _build_model(section, pulse: Pulse) -> CouplingModel:
                 raise ConfigError("the symmetric manifold model fixes beta=1")
             if "alpha" not in sec:
                 raise ConfigError("model.alpha is required")
-            if not isinstance(eps, (int, float)):
-                raise ConfigError("manifold model takes a scalar eps")
             model = symmetric_nstate(n, _as_number(sec["alpha"], "model.alpha"),
-                                     float(eps), pulse)
+                                     _as_number(eps, "model.eps"), pulse)
         if "energies" in sec:
-            energies = sec["energies"]
-            if isinstance(energies, (int, float)):
-                energies = [float(energies)] * model.n
-            if (not isinstance(energies, list) or len(energies) != model.n
-                    or not all(isinstance(v, (int, float)) for v in energies)):
-                raise ConfigError(
-                    f"model.energies must be a number or a list of {model.n}")
-            model = model.with_energies([float(v) for v in energies])
-    except (ValueError, TypeError) as exc:
+            model = model.with_energies(
+                _vector(sec["energies"], model.n, "model.energies"))
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid model: {exc}") from exc
     return model
 
 
-def _eps_vector(eps, n: int) -> np.ndarray:
-    if isinstance(eps, (int, float)):
-        return np.full(n, float(eps))
-    if isinstance(eps, list) and len(eps) == n \
-            and all(isinstance(v, (int, float)) for v in eps):
-        return np.array([float(v) for v in eps])
-    raise ConfigError(f"model.eps must be a number or a list of {n}")
+def _vector(value, n: int, name: str) -> np.ndarray:
+    """A number repeated n times, or a list of n numbers."""
+    values = value if isinstance(value, list) else [value] * n
+    if len(values) != n:
+        raise ConfigError(f"{name} must be a number or a list of {n}")
+    return np.array([_as_number(v, name) for v in values])
 
 
 def _as_number(value, name: str) -> float:
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be a finite number")
     return float(value)
 
@@ -374,18 +355,6 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _reference_time(pulse: Pulse, traj) -> float:
-    if isinstance(pulse, HarmonicPulse):
-        return pulse.quarter_period
-    if isinstance(pulse, RectKickPulse):
-        return pulse.right
-    if isinstance(pulse, DeltaKickPulse):
-        return pulse.center
-    if isinstance(pulse, SampledPulse):
-        return float(traj.times[-1]) if traj.times.size else 0.0
-    return 0.0
 
 
 def _write_output(traj, path: str, fmt: str) -> None:

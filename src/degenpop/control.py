@@ -45,17 +45,6 @@ class ControlDesign:
     n: int | None = None
     n0: int | None = None
 
-    def k_case_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Redundant display pairs derived from (n_o, n_o_prime).
-
-        Three sign-case families of auxiliary integers; best-effort
-        reproduction of the tabulated pairings, three-state only.
-        """
-        if self.family != THREE_STATE:
-            raise DomainError("k-case pairs exist only for three-state designs")
-        no, nop, ne = self.n_o, self.n_o_prime, self.n_e
-        return ((ne, -nop), (no, nop), (-no, ne))
-
 
 def design_3state(n1: int, n2: int, sign: int = 1) -> ControlDesign:
     """Allowed three-state transfer design for odd quantum numbers.

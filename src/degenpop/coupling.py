@@ -20,8 +20,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionTooSmall
-from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
-                     SampledPulse)
+from .pulses import Pulse, pulse_from_dict
 
 _STRUCT_TOL = 1e-12
 
@@ -74,7 +73,8 @@ class CouplingModel:
                   and abs(r[1, 2] - m * r[2, 1]) <= _STRUCT_TOL
                   and abs(r[0, 0] - eps[0]) <= _STRUCT_TOL
                   and abs(r[1, 1] - eps[1]) <= _STRUCT_TOL
-                  and abs(r[2, 2] - eps[2] - (m - 1) / m) <= _STRUCT_TOL)
+                  and abs(r[2, 2] - eps[2] - (m - 1) / m)
+                  <= _STRUCT_TOL * max(1.0, abs(eps[2])))
             if not ok:
                 raise ValueError("r does not follow the reduced symmetric form")
 
@@ -121,7 +121,7 @@ class CouplingModel:
             "r": [float(x) for x in self.r.ravel()],
             "eps": [float(x) for x in self.eps],
             "energies": [float(x) for x in self.energies],
-            "pulse": pulse_to_dict(self.pulse),
+            "pulse": self.pulse.to_dict(),
         }
         if self.reduced_multiplicity is not None:
             d["reduced_multiplicity"] = self.reduced_multiplicity
@@ -191,35 +191,3 @@ def symmetric_nstate(n: int, alpha: float, eps: float, pulse: Pulse) -> Coupling
     ])
     e3 = np.array([eps, eps, eps])
     return CouplingModel(3, r, e3, np.zeros(3), pulse, reduced_multiplicity=m)
-
-
-def pulse_to_dict(pulse: Pulse) -> dict[str, Any]:
-    if isinstance(pulse, HarmonicPulse):
-        return {"kind": "harmonic", "chi": pulse.chi, "omega": pulse.omega}
-    if isinstance(pulse, DeltaKickPulse):
-        return {"kind": "delta_kick", "A0": pulse.area, "t0": pulse.center}
-    if isinstance(pulse, RectKickPulse):
-        return {"kind": "rect_kick", "A0": pulse.area, "t0": pulse.center,
-                "width": pulse.width}
-    if isinstance(pulse, SampledPulse):
-        return {"kind": "custom_sampled",
-                "samples": [[float(t), float(v)]
-                            for t, v in zip(pulse.times, pulse.values_)]}
-    raise TypeError(f"unknown pulse type {type(pulse).__name__}")
-
-
-def pulse_from_dict(d: dict[str, Any]) -> Pulse:
-    kind = d.get("kind")
-    if kind == "harmonic":
-        return HarmonicPulse(float(d["chi"]), float(d["omega"]))
-    if kind == "delta_kick":
-        return DeltaKickPulse(float(d["A0"]), float(d["t0"]))
-    if kind == "rect_kick":
-        return RectKickPulse(float(d["A0"]), float(d["t0"]), float(d["width"]))
-    if kind == "custom_sampled":
-        if "samples" in d:
-            samples = np.array(d["samples"], dtype=float)
-            return SampledPulse(samples[:, 0], samples[:, 1])
-        from .pulses import load_sampled_csv
-        return load_sampled_csv(d["samples_file"])
-    raise ValueError(f"unknown pulse kind {kind!r}")

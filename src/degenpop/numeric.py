@@ -32,13 +32,8 @@ import numpy as np
 
 from .analytic import Trajectory
 from .coupling import CouplingModel
-from .errors import (DomainError, GridMismatch, PointwiseUndefined,
-                     UnresolvedTimescale)
-from .pulses import (DeltaKickPulse, HarmonicPulse, RectKickPulse,
-                     SampledPulse)
-
-_RESOLVE_DIVISOR = 200.0
-_KICK_STEP_FRACTION = 50.0
+from .errors import DomainError, GridMismatch, UnresolvedTimescale
+from .pulses import STEPS_PER_PERIOD, HarmonicPulse, RectKickPulse
 
 # CF4: Gauss nodes c1 < c2 of a step and the weights of the envelope
 # values at them in the first and the second exponential
@@ -67,33 +62,17 @@ class IntegratorConfig:
 def resolution_bound(model: CouplingModel) -> float:
     """Largest admissible dt for this model's pulse and strength matrix.
 
-    The step must resolve both the envelope's own timescale and the
-    fastest dressed phase at peak envelope: 1/200 of each period, plus
-    1/50 of the kick width for rectangular kicks.
+    The step must resolve both the envelope's own shape (its
+    ``max_step``) and the fastest dressed phase at peak envelope, 1/200
+    of its period.  Raises PointwiseUndefined for a pulse without a
+    pointwise envelope.
     """
-    z_max = _spectral_radius(model)
     pulse = model.pulse
-    if isinstance(pulse, HarmonicPulse):
-        scales = [2.0 * math.pi / pulse.omega]
-        peak = z_max * abs(pulse.chi)
-        if peak > 0:
-            scales.append(2.0 * math.pi / peak)
-        return min(scales) / _RESOLVE_DIVISOR
-    if isinstance(pulse, RectKickPulse):
-        bounds = [pulse.width / _KICK_STEP_FRACTION]
-        peak = z_max * abs(pulse.height)
-        if peak > 0:
-            bounds.append(2.0 * math.pi / peak / _RESOLVE_DIVISOR)
-        return min(bounds)
-    if isinstance(pulse, SampledPulse):
-        gaps = np.diff(pulse.times)
-        bounds = [float(gaps.min())]
-        peak = z_max * float(np.max(np.abs(pulse.values_)))
-        if peak > 0:
-            bounds.append(2.0 * math.pi / peak / _RESOLVE_DIVISOR)
-        return min(bounds)
-    raise PointwiseUndefined(
-        "pulse has no pointwise envelope; integration needs one")
+    bound = pulse.max_step
+    rate = _spectral_radius(model) * pulse.peak
+    if rate > 0:
+        bound = min(bound, 2.0 * math.pi / rate / STEPS_PER_PERIOD)
+    return bound
 
 
 def integrate(model: CouplingModel, config: IntegratorConfig) -> Trajectory:
@@ -101,16 +80,14 @@ def integrate(model: CouplingModel, config: IntegratorConfig) -> Trajectory:
 
     Every segment between envelope breakpoints is cut into equal steps
     no longer than dt, and the state is sampled at ``lo + k h`` after
-    every step.  Flat segments of a rectangular kick are propagated
-    exactly; all other steps use CF4, whose error per step is O(h^5).
+    every step.  The segments of a piecewise-constant envelope (a
+    rectangular kick) are propagated exactly; all other steps use CF4,
+    whose error per step is O(h^5).
     Raises UnresolvedTimescale when dt exceeds :func:`resolution_bound`,
     PointwiseUndefined for an instantaneous-kick pulse (use a
     rectangular kick instead).
     """
     pulse = model.pulse
-    if isinstance(pulse, DeltaKickPulse):
-        raise PointwiseUndefined(
-            "instantaneous kick cannot be integrated; use a rectangular kick")
     bound = resolution_bound(model)
     if config.dt > bound * (1.0 + 1e-12):
         raise UnresolvedTimescale(
@@ -124,7 +101,7 @@ def integrate(model: CouplingModel, config: IntegratorConfig) -> Trajectory:
     ends = (k + 1) * h[seg]  # offset of every grid point into its segment
     b0 = np.zeros(model.n, dtype=complex)
     b0[0] = 1.0
-    if isinstance(pulse, RectKickPulse):
+    if pulse.piecewise_constant:
         b = _flat_segments(model.energies, r_sym, pulse.values(0.5 * (lo + hi)),
                            np.split(ends, np.cumsum(counts)[:-1]), b0)
     else:
@@ -179,8 +156,8 @@ def kick_convergence(model: CouplingModel, a0: float, t0: float,
     of a rectangular kick is flat, so the result at each width is exact
     and the step only sets the output grid: with no dt given it is
     1/200 of the width, shortened further when the kick's total phase
-    exceeds 2 pi.  An explicit dt must resolve the narrowest kick
-    (dt <= width/50).
+    exceeds 2 pi.  An explicit dt must pass :func:`resolution_bound` at
+    every width.
     """
     widths = [float(w) for w in widths]
     if not widths or any(w <= 0 for w in widths):
@@ -191,9 +168,6 @@ def kick_convergence(model: CouplingModel, a0: float, t0: float,
     phase_scale = max(1.0, z_max * abs(a0) / (2.0 * math.pi))
     out = []
     for w in widths:
-        if dt is not None and dt > w / _KICK_STEP_FRACTION:
-            raise UnresolvedTimescale(
-                f"dt={dt} does not resolve kick width {w}")
         step = dt if dt is not None else (w / 200.0) / phase_scale
         kicked = model.with_pulse(RectKickPulse(area=a0, center=t0, width=w))
         traj = integrate(kicked, IntegratorConfig(dt=step, t_end=t0 + 0.5 * w))

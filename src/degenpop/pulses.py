@@ -1,28 +1,100 @@
 """Drive envelopes and their running action integrals.
 
 Every envelope ``V(t)`` is paired with its action ``A(t) = int_0^t V dt'``,
-which is the only quantity that enters the degenerate dynamics.  Closed
-forms are used wherever the shape allows; an adaptive-Simpson fallback
-covers arbitrary callables.
+which is the only quantity that enters the degenerate dynamics.  Each
+shape is one frozen dataclass deriving from :class:`Pulse`, registered in
+``PULSE_KINDS`` under its JSON ``kind``.  A new envelope sets ``kind`` and
+``schema`` and implements ``values``, ``action_values`` (in closed form),
+``peak`` and ``max_step``.  It may override ``breakpoints``,
+``reference_time`` and ``invert_action``, and overrides ``to_dict`` and
+``from_dict`` when one of its fields is not a number.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+import os
+from abc import ABC, abstractmethod
+from dataclasses import astuple, dataclass
+from typing import Any, ClassVar
 
 import numpy as np
 
 from .errors import OutOfDomain, PointwiseUndefined, Unattainable
 
-QUADRATURE_TOL = 1e-10
 ACTION_SOLVE_TOL = 1e-12
+# a smooth envelope is sampled at least this many times per period
+STEPS_PER_PERIOD = 200.0
+
+
+class Pulse(ABC):
+    """A drive envelope ``V(t)``, defined for ``t >= 0``, and its action."""
+
+    # the JSON tag, and the type of every other JSON key (float for a
+    # number); the base to_dict/from_dict map the keys to the fields in order
+    kind: ClassVar[str]
+    schema: ClassVar[dict[str, type]]
+    # True when V is constant between breakpoints, so each such segment
+    # propagates exactly
+    piecewise_constant: ClassVar[bool] = False
+
+    @abstractmethod
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """Envelope ``V(t)`` at every time."""
+
+    @abstractmethod
+    def action_values(self, t: np.ndarray) -> np.ndarray:
+        """Action ``A(t) = int_0^t V(t') dt'`` at every time."""
+
+    @property
+    @abstractmethod
+    def peak(self) -> float:
+        """Largest ``|V(t)|``."""
+
+    @property
+    @abstractmethod
+    def max_step(self) -> float:
+        """Longest integrator step that resolves the envelope's shape."""
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON form, read back by :func:`pulse_from_dict`."""
+        return {"kind": self.kind, **dict(zip(self.schema, astuple(self)))}
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "Pulse":
+        """Inverse of :meth:`to_dict`; raises KeyError for a missing key."""
+        return cls(*(float(d[key]) for key in cls.schema))
+
+    def value(self, t: float) -> float:
+        return float(self.values(np.array([t], dtype=float))[0])
+
+    def action(self, t: float) -> float:
+        return float(self.action_values(np.array([t], dtype=float))[0])
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """Times where the envelope or its slope jumps."""
+        return ()
+
+    def reference_time(self, t_end: float) -> float:
+        """Time at which a run up to ``t_end`` reports its transfer."""
+        return t_end
+
+    def invert_action(self, target: float) -> float:
+        """Smallest ``t >= 0`` with ``A(t) = target`` on the first monotone
+        branch of the action.
+
+        A target above the branch maximum by at most ``ACTION_SOLVE_TOL``
+        maps to the time of that maximum, and a target of at most
+        ``ACTION_SOLVE_TOL`` maps to 0.  Raises Unattainable for a target
+        further above the maximum, and OutOfDomain for a negative target or
+        an envelope without a closed-form inversion.
+        """
+        raise OutOfDomain(f"{self.kind} pulse has no action inversion")
 
 
 @dataclass(frozen=True)
-class HarmonicPulse:
+class HarmonicPulse(Pulse):
     """Cosine drive ``V(t) = chi * cos(omega t)``.
 
     Parameters
@@ -38,6 +110,9 @@ class HarmonicPulse:
     so the peak action on the first monotone branch is ``chi/omega``,
     reached at a quarter period.
     """
+
+    kind: ClassVar[str] = "harmonic"
+    schema: ClassVar[dict[str, type]] = {"chi": float, "omega": float}
 
     chi: float
     omega: float
@@ -55,35 +130,43 @@ class HarmonicPulse:
     def quarter_period(self) -> float:
         return 0.5 * math.pi / self.omega
 
-    def value(self, t: float) -> float:
-        if t < 0:
-            raise OutOfDomain("envelope defined for t >= 0")
-        return self.chi * math.cos(self.omega * t)
+    @property
+    def peak(self) -> float:
+        return abs(self.chi)
+
+    @property
+    def max_step(self) -> float:
+        return self.period / STEPS_PER_PERIOD
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
         return self.chi * np.cos(self.omega * t)
 
-    def action(self, t: float) -> float:
-        if t < 0:
-            raise OutOfDomain("action defined for t >= 0")
-        return (self.chi / self.omega) * math.sin(self.omega * t)
-
     def action_values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
         return (self.chi / self.omega) * np.sin(self.omega * t)
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
+    def reference_time(self, t_end: float) -> float:
+        return self.quarter_period
+
+    def invert_action(self, target: float) -> float:
+        """``t = asin(target omega / chi) / omega`` on the first quarter period."""
+        a_hi = self.action(self.quarter_period)
+        if _at_branch_start(target, a_hi):
+            return 0.0
+        return math.asin(min(1.0, target / a_hi)) / self.omega
 
 
 @dataclass(frozen=True)
-class DeltaKickPulse:
+class DeltaKickPulse(Pulse):
     """Idealized instantaneous kick ``V(t) = area * delta(t - center)``.
 
-    Has no pointwise envelope value; the action is a step, taken
-    right-continuous: ``A(center) = area``.
+    Has no pointwise envelope value, so it cannot be integrated step by
+    step; the action is a step, taken right-continuous: ``A(center) = area``.
     """
+
+    kind: ClassVar[str] = "delta_kick"
+    schema: ClassVar[dict[str, type]] = {"A0": float, "t0": float}
 
     area: float
     center: float
@@ -93,16 +176,17 @@ class DeltaKickPulse:
         if not self.center > 0:
             raise ValueError("kick center must be positive")
 
-    def value(self, t: float) -> float:
+    @property
+    def peak(self) -> float:
         raise PointwiseUndefined("delta kick has no pointwise envelope value")
+
+    @property
+    def max_step(self) -> float:
+        raise PointwiseUndefined(
+            "instantaneous kick cannot be integrated; use a rectangular kick")
 
     def values(self, t: np.ndarray) -> np.ndarray:
         raise PointwiseUndefined("delta kick has no pointwise envelope value")
-
-    def action(self, t: float) -> float:
-        if t < 0:
-            raise OutOfDomain("action defined for t >= 0")
-        return self.area if t >= self.center else 0.0
 
     def action_values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
@@ -111,14 +195,22 @@ class DeltaKickPulse:
     def breakpoints(self) -> tuple[float, ...]:
         return (self.center,)
 
+    def reference_time(self, t_end: float) -> float:
+        return self.center
+
 
 @dataclass(frozen=True)
-class RectKickPulse:
+class RectKickPulse(Pulse):
     """Rectangular kick of total action ``area`` spread over ``width``.
 
     ``V(t) = area/width`` on ``[center - width/2, center + width/2]`` and
     zero elsewhere.  Converges to :class:`DeltaKickPulse` as width -> 0.
+    The envelope is flat between its edges, so any step resolves it.
     """
+
+    kind: ClassVar[str] = "rect_kick"
+    schema: ClassVar[dict[str, type]] = {"A0": float, "t0": float, "width": float}
+    piecewise_constant: ClassVar[bool] = True
 
     area: float
     center: float
@@ -143,23 +235,17 @@ class RectKickPulse:
     def height(self) -> float:
         return self.area / self.width
 
-    def value(self, t: float) -> float:
-        if t < 0:
-            raise OutOfDomain("envelope defined for t >= 0")
-        return self.height if self.left <= t <= self.right else 0.0
+    @property
+    def peak(self) -> float:
+        return abs(self.height)
+
+    @property
+    def max_step(self) -> float:
+        return self.width
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
         return np.where((t >= self.left) & (t <= self.right), self.height, 0.0)
-
-    def action(self, t: float) -> float:
-        if t < 0:
-            raise OutOfDomain("action defined for t >= 0")
-        if t <= self.left:
-            return 0.0
-        if t >= self.right:
-            return self.area
-        return self.height * (t - self.left)
 
     def action_values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
@@ -169,14 +255,22 @@ class RectKickPulse:
     def breakpoints(self) -> tuple[float, ...]:
         return (self.left, self.right)
 
+    def reference_time(self, t_end: float) -> float:
+        return self.right
+
 
 @dataclass(frozen=True)
-class SampledPulse:
+class SampledPulse(Pulse):
     """Envelope given by samples, linearly interpolated between them.
 
     Outside the sampled range the envelope is zero.  The action is the
-    exact integral of the interpolant (trapezoid on each segment).
+    exact integral of the interpolant (trapezoid on each segment).  Its
+    JSON form holds either ``samples`` as ``[[t, V], ...]`` or
+    ``samples_file``, the path of a CSV read by :func:`load_sampled_csv`.
     """
+
+    kind: ClassVar[str] = "custom_sampled"
+    schema: ClassVar[dict[str, type]] = {"samples": list, "samples_file": str}
 
     times: np.ndarray
     values_: np.ndarray
@@ -195,10 +289,13 @@ class SampledPulse:
         cums = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
         object.__setattr__(self, "_cums", cums)
 
-    def value(self, t: float) -> float:
-        if t < 0:
-            raise OutOfDomain("envelope defined for t >= 0")
-        return float(self.values(np.array([t]))[0])
+    @property
+    def peak(self) -> float:
+        return float(np.max(np.abs(self.values_)))
+
+    @property
+    def max_step(self) -> float:
+        return float(np.diff(self.times).min())
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
@@ -214,11 +311,6 @@ class SampledPulse:
         v = np.interp(tc, self.times, self.values_)
         return self._cums[idx] + 0.5 * (v0 + v) * (tc - t0)
 
-    def action(self, t: float) -> float:
-        if t < 0:
-            raise OutOfDomain("action defined for t >= 0")
-        return float(self.action_values(np.array([t]))[0])
-
     def action_values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
         return self._integral_from_first_sample(t) - self._integral_from_first_sample(
@@ -228,136 +320,84 @@ class SampledPulse:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.times)
 
+    def invert_action(self, target: float) -> float:
+        """Root on the full sampled range, whose cumulative action must be
+        non-decreasing; the action is quadratic on the segment that holds it."""
+        if np.any(np.diff(self._cums) < -1e-15):
+            raise OutOfDomain("sampled action is not monotone")
+        times, values = self.times, self.values_
+        if _at_branch_start(target, self.action(float(times[-1]))):
+            return 0.0
+        sample_actions = self.action_values(np.maximum(times, 0.0))
+        reached = (times > 0.0) & (sample_actions >= target)
+        if not reached.any():
+            return float(times[-1])
+        j = int(np.argmax(reached))
+        if sample_actions[j] == target:  # e.g. the flat end of a quarter wave
+            return float(times[j])
+        # the segment from t_a = max(times[j - 1], 0) up to times[j] holds the root
+        t_a = max(float(times[j - 1]), 0.0)
+        v_a = float(np.interp(t_a, times, values))
+        h = float(times[j]) - t_a
+        slope = (float(values[j]) - v_a) / h
+        rem = target - self.action(t_a)
+        # smallest s > 0 with v_a s + slope s^2 / 2 = rem, in a form free of
+        # cancellation; a negative discriminant is rounding at a flat vertex
+        sq = math.sqrt(max(0.0, v_a * v_a + 2.0 * slope * rem))
+        s = 2.0 * rem / (v_a + sq) if v_a >= 0.0 else (sq - v_a) / slope
+        return t_a + min(s, h)
 
-Pulse = Union[HarmonicPulse, DeltaKickPulse, RectKickPulse, SampledPulse]
+    def to_dict(self) -> dict[str, Any]:
+        return {"kind": self.kind,
+                "samples": np.column_stack([self.times, self.values_]).tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "SampledPulse":
+        if "samples" not in d:
+            return load_sampled_csv(d["samples_file"])
+        samples = np.asarray(d["samples"])
+        if samples.dtype.kind not in "iuf" or samples.shape[1:] != (2,):
+            raise ValueError("samples must be [t, V] pairs of numbers")
+        return cls(samples[:, 0], samples[:, 1])
 
 
-def envelope_value(pulse: Pulse, t: float) -> float:
-    """Pointwise envelope value ``V(t)``.
-
-    Raises
-    ------
-    PointwiseUndefined
-        For :class:`DeltaKickPulse`.
-    OutOfDomain
-        For negative ``t``.
-    """
-    return pulse.value(t)
+PULSE_KINDS: dict[str, type[Pulse]] = {
+    cls.kind: cls for cls in (HarmonicPulse, DeltaKickPulse, RectKickPulse, SampledPulse)
+}
 
 
-def action(pulse: Pulse, t: float) -> float:
-    """Running action ``A(t) = int_0^t V(t') dt'`` in closed form."""
-    return pulse.action(t)
+def pulse_from_dict(d: dict[str, Any]) -> Pulse:
+    """Pulse from its JSON form; ``d["kind"]`` selects the class in ``PULSE_KINDS``."""
+    kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in PULSE_KINDS:
+        raise ValueError(f"unknown pulse kind {kind!r}")
+    return PULSE_KINDS[kind].from_dict(d)
 
 
 def action_values(pulse: Pulse, t: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`action` over an array of times."""
+    """Running action ``A(t)`` of ``pulse`` over an array of times."""
     return pulse.action_values(np.asarray(t, dtype=float))
 
 
 def solve_time_for_action(pulse: Pulse, target: float) -> float:
-    """Smallest ``t >= 0`` with ``A(t) = target``, inverted in closed form.
+    """Smallest ``t >= 0`` with ``A(t) = target``; see :meth:`Pulse.invert_action`."""
+    return pulse.invert_action(target)
 
-    The root is taken on the monotone branch: the first quarter period for
-    a harmonic pulse, where ``t = asin(target omega / chi) / omega``; the
-    full sampled range for a sampled pulse (whose cumulative action must be
-    non-decreasing), where the action is quadratic on the segment that
-    holds the root.  A target above the branch maximum by at most
-    ``ACTION_SOLVE_TOL`` maps to the time of that maximum, and a target at
-    most ``ACTION_SOLVE_TOL`` above ``A(0)`` maps to 0.
 
-    Raises
-    ------
-    Unattainable
-        If the target exceeds the branch maximum by more than
-        ``ACTION_SOLVE_TOL``.
-    OutOfDomain
-        For negative targets or unsupported pulse kinds.
-    """
+def _at_branch_start(target: float, a_hi: float) -> bool:
+    """Whether ``target`` maps to t = 0 on a branch rising from A(0) = 0 to
+    ``a_hi``; raises for a target outside the branch."""
     if target < 0:
         raise OutOfDomain("target action must be non-negative")
-    if isinstance(pulse, HarmonicPulse):
-        t_hi = pulse.quarter_period
-    elif isinstance(pulse, SampledPulse):
-        if np.any(np.diff(pulse._cums) < -1e-15):
-            raise OutOfDomain("sampled action is not monotone")
-        t_hi = float(pulse.times[-1])
-    else:
-        raise OutOfDomain("action inversion needs a harmonic or sampled pulse")
-    a_hi = pulse.action(t_hi)
     if target > a_hi + ACTION_SOLVE_TOL:
         raise Unattainable(f"action {target} exceeds branch maximum {a_hi}")
-    if pulse.action(0.0) >= target - ACTION_SOLVE_TOL:
-        return 0.0
-    if isinstance(pulse, HarmonicPulse):
-        return math.asin(min(1.0, target / a_hi)) / pulse.omega
-    return _sampled_time_for_action(pulse, target)
-
-
-def _sampled_time_for_action(pulse: SampledPulse, target: float) -> float:
-    """Root of ``A(t) = target`` for ``0 < target <= A(times[-1]) + tol``."""
-    times, values = pulse.times, pulse.values_
-    sample_actions = pulse.action_values(np.maximum(times, 0.0))
-    reached = (times > 0.0) & (sample_actions >= target)
-    if not reached.any():
-        return float(times[-1])
-    j = int(np.argmax(reached))
-    if sample_actions[j] == target:  # e.g. the flat end of a quarter wave
-        return float(times[j])
-    # the segment from t_a = max(times[j - 1], 0) up to times[j] holds the root
-    t_a = max(float(times[j - 1]), 0.0)
-    v_a = float(np.interp(t_a, times, values))
-    h = float(times[j]) - t_a
-    slope = (float(values[j]) - v_a) / h
-    rem = target - pulse.action(t_a)
-    # smallest s > 0 with v_a s + slope s^2 / 2 = rem, in a form free of
-    # cancellation; a negative discriminant is rounding at a flat vertex
-    sq = math.sqrt(max(0.0, v_a * v_a + 2.0 * slope * rem))
-    s = 2.0 * rem / (v_a + sq) if v_a >= 0.0 else (sq - v_a) / slope
-    return t_a + min(s, h)
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = QUADRATURE_TOL) -> float:
-    """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
-
-    Generic path for arbitrary callable envelopes; absolute tolerance.
-    """
-    if b <= a:
-        return 0.0
-
-    def simpson(lo, flo, hi, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, flo, hi, fhi, fmid, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = f(lmid)
-        frm = f(rmid)
-        left = simpson(lo, flo, mid, fmid, flm)
-        right = simpson(mid, fmid, hi, fhi, frm)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, flo, mid, fmid, flm, left, 0.5 * eps, depth - 1)
-                + recurse(mid, fmid, hi, fhi, frm, right, 0.5 * eps, depth - 1))
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, 48)
-
-
-def quadrature_action(envelope: Callable[[float], float], t: float,
-                      tol: float = QUADRATURE_TOL) -> float:
-    """Action of an arbitrary callable envelope by adaptive Simpson."""
-    if t < 0:
-        raise OutOfDomain("action defined for t >= 0")
-    return adaptive_simpson(envelope, 0.0, t, tol)
+    return target <= ACTION_SOLVE_TOL
 
 
 def load_sampled_csv(path) -> SampledPulse:
     """Read a sampled envelope from CSV with header ``t,V``."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"sample file path must be a string, not {path!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -105,17 +105,25 @@ def test_cosine_form_matches_squared_amplitudes():
 
 
 def test_probabilities_2state_values():
-    assert np.allclose(probabilities_2state(0.0, 0.5 * math.pi), [0.0, 1.0],
+    assert np.allclose(probabilities_2state(0.5 * math.pi), [0.0, 1.0],
                        atol=1e-12)
-    assert np.allclose(probabilities_2state(0.0, 0.0), [1.0, 0.0], atol=0)
-    assert np.allclose(probabilities_2state(0.0, 0.25 * math.pi), [0.5, 0.5],
+    assert np.allclose(probabilities_2state(0.0), [1.0, 0.0], atol=0)
+    assert np.allclose(probabilities_2state(0.25 * math.pi), [0.5, 0.5],
                        atol=1e-12)
 
 
-def test_probabilities_2state_ignores_eps():
-    a = np.linspace(0.0, 3.0, 50)
-    assert np.allclose(probabilities_2state(0.0, a),
-                       probabilities_2state(2.5, a), atol=0)
+def test_trajectory_rejects_split_energies():
+    model = standard_2state(0.0, 0.0, PULSE).with_energies([0.0, 3.0])
+    with pytest.raises(DomainError, match=r"energies=\[0\.0, 3\.0\]"):
+        trajectory(model, decompose_general(model), [0.0, 1.0])
+
+
+def test_trajectory_takes_equal_energies_as_a_global_phase():
+    model = standard_2state(0.0, 0.0, PULSE)
+    times = np.linspace(0.0, 3.0, 7)
+    ref = trajectory(model, decompose_general(model), times)
+    shifted = trajectory(model.with_energies([2.5, 2.5]), decompose_general(model), times)
+    assert np.array_equal(shifted.probabilities, ref.probabilities)
 
 
 def test_probabilities_nstate_sym_endpoints():

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenpop import cli
+from degenpop.pulses import PULSE_KINDS
 
 
 def write_config(tmp_path, mode="numeric", energies=0, **extra):
@@ -172,3 +180,125 @@ def test_nonfinite_kick_argument_exits_two(tmp_path, capsys, args):
     assert cli.main(["--out", str(out), "kick", *args]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_invalid_tolerance_exits_two(tmp_path, capsys, tol):
+    config = write_config(tmp_path, mode="compare")
+    assert cli.main([f"--tol={tol}", "--config", str(config), "simulate"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["numeric", "compare"])
+def test_delta_kick_cannot_be_integrated_exits_two(tmp_path, capsys, mode):
+    config, raw = write_variant_config(tmp_path, "delta_kick")
+    raw["run"]["mode"] = mode
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_analytic_run_with_split_energies_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, mode="analytic", energies=[0.0, 3.0, 0.0])
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    assert "energies" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def fd_inode(fd):
+    """The inode behind a file descriptor, or None when it is closed."""
+    try:
+        return os.fstat(fd).st_ino
+    except OSError:
+        return None
+
+
+@pytest.mark.parametrize("fd", [0, 1])
+def test_integer_samples_file_exits_two_and_leaves_fd_open(tmp_path, capsys, fd):
+    config, raw = write_variant_config(tmp_path, "custom_sampled")
+    raw["pulse"] = {"kind": "custom_sampled", "samples_file": fd}
+    config.write_text(json.dumps(raw))
+    before = fd_inode(fd)
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    assert fd_inode(fd) == before
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("harmonic", "chi", "1.5"),
+    ("harmonic", "omega", "1"),
+    ("rect_kick", "width", "0.5"),
+    ("custom_sampled", "samples", [["0", "0"], ["1", "1"]]),
+])
+def test_pulse_number_given_as_string_exits_two(tmp_path, capsys, kind, key, value):
+    config, raw = write_variant_config(tmp_path, kind)
+    raw["pulse"][key] = value
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+SECTION_KEYS = {
+    "model": sorted(cli._MODEL_KEYS),
+    "run": sorted(cli._RUN_KEYS),
+    "output": sorted(cli._OUTPUT_KEYS),
+}
+DELETE = object()
+FUZZ_VALUES = st.one_of(
+    st.just(DELETE), st.none(), st.booleans(), st.integers(-3, 5),
+    st.sampled_from([10 ** 12, 10 ** 400, 0.0, -1.0, 1e-3, 0.5, 2.5, 1e300, -1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.sampled_from(["", "x", "1.5", "harmonic", "rect_kick", "delta_kick",
+                     "custom_sampled", "analytic", "numeric", "compare", "json"]),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, math.nan, "x", None]), max_size=3),
+    st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]),
+                      min_size=1, max_size=2), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["harmonic", *PULSE_VARIANTS]),
+       edits=st.lists(st.tuples(st.sampled_from(["model", "pulse", "run", "output"]),
+                                st.integers(0, 7), FUZZ_VALUES), min_size=1, max_size=4),
+       section=st.sampled_from([None, "model", "pulse", "run", "output"]),
+       section_value=FUZZ_VALUES)
+def test_fuzzed_configs_exit_zero_or_two_without_traceback(kind, edits, section,
+                                                           section_value):
+    """Any config exits 0 or 2 and writes nothing when it exits 2.
+
+    ``--tol`` is wide open, so a compare run whose fuzzed energies are
+    split cannot fail its tolerance: that is exit 3 by design.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config, raw = write_variant_config(tmp, kind)
+        raw["run"]["dt"], raw["run"]["t_end"] = 1e-3, 1.0
+        keys = dict(SECTION_KEYS, pulse=["kind", *PULSE_KINDS[kind].schema])
+        for where, pick, value in edits:
+            key = keys[where][pick % len(keys[where])]
+            if value is DELETE:
+                raw[where].pop(key, None)
+            else:
+                raw[where][key] = value
+        if section is not None and section_value is not DELETE:
+            raw[section] = section_value
+        config.write_text(json.dumps(raw))
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a fuzzed output path is relative to here
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["--tol", "1e300", "--config", str(config),
+                                 "simulate"])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert sorted(p.name for p in tmp.iterdir()) == ["config.json"]

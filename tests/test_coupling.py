@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from degenpop.coupling import (CouplingModel, pulse_from_dict, pulse_to_dict,
-                               standard_2state, standard_3state,
+from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)
 from degenpop.errors import DimensionTooSmall
 from degenpop.pulses import (DeltaKickPulse, HarmonicPulse, RectKickPulse,
-                             SampledPulse)
+                             SampledPulse, pulse_from_dict)
 
 PULSE = HarmonicPulse(chi=1.0, omega=1.0)
 
@@ -59,6 +58,12 @@ def test_symmetric_nstate_four_rows():
     assert m.r[1, 2] == 2.0
     assert abs(m.r[2, 2] - 0.5) < 1e-15
     assert np.array_equal(m.r[2, :2], [1.0, 1.0])
+
+
+def test_symmetric_nstate_accepts_large_self_coupling():
+    # eps + (n-3)/(n-2) rounds at the scale of eps, not at 1e-12
+    m = symmetric_nstate(5, 0.0, 1e5, PULSE)
+    assert m.r[2, 2] == 1e5 + 2.0 / 3.0
 
 
 def test_symmetric_nstate_rejects_small_n():
@@ -129,7 +134,7 @@ def test_pulse_dict_roundtrip_all_kinds():
         SampledPulse(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])),
     ]
     for p in pulses:
-        q = pulse_from_dict(pulse_to_dict(p))
+        q = pulse_from_dict(p.to_dict())
         assert type(q) is type(p)
         if isinstance(p, SampledPulse):
             assert np.array_equal(q.times, p.times)

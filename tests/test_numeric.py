@@ -100,6 +100,14 @@ def test_rect_kick_is_exact():
         assert np.max(np.abs(traj.amplitudes[-1] - expm(-1j * a0 * model.r)[:, 0])) < 1e-12
 
 
+def test_rect_kick_step_is_bounded_by_its_phase_not_its_width():
+    model = standard_2state(0.0, 0.0, RectKickPulse(0.05, 1.0, 0.1))
+    dt = resolution_bound(model)
+    assert dt == pytest.approx(2.0 * math.pi / 0.5 / 200.0, rel=1e-12)  # 31x width/50
+    traj = integrate(model, IntegratorConfig(dt=dt, t_end=1.05))
+    assert np.max(np.abs(traj.amplitudes[-1] - expm(-0.05j * model.r)[:, 0])) < 1e-12
+
+
 def test_rect_kick_with_split_energies_matches_expm_per_segment():
     pulse = RectKickPulse(0.9, 1.0, 0.2)
     model = standard_3state(0.3, 1.0, np.zeros(3), pulse).with_energies([0.0, 0.7, -0.4])

@@ -2,44 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from degenpop.errors import OutOfDomain, PointwiseUndefined, Unattainable
 from degenpop.pulses import (ACTION_SOLVE_TOL, DeltaKickPulse, HarmonicPulse,
-                             RectKickPulse, SampledPulse, action,
-                             action_values, adaptive_simpson, envelope_value,
-                             load_sampled_csv, quadrature_action,
-                             save_sampled_csv, solve_time_for_action)
+                             RectKickPulse, SampledPulse, action_values,
+                             load_sampled_csv, save_sampled_csv,
+                             solve_time_for_action)
 
 
 def test_harmonic_envelope_at_zero():
     p = HarmonicPulse(chi=1.0, omega=1.0)
-    assert envelope_value(p, 0.0) == 1.0
+    assert p.value(0.0) == 1.0
 
 
 def test_harmonic_envelope_at_half_period():
     omega = 2.0
     p = HarmonicPulse(chi=0.5 * math.pi * omega, omega=omega)
-    v = envelope_value(p, math.pi / omega)
+    v = p.value(math.pi / omega)
     assert abs(v - (-0.5 * math.pi * omega)) < 1e-12
 
 
 def test_rect_kick_envelope_height():
     p = RectKickPulse(area=math.pi / math.sqrt(2), center=5.0, width=0.1)
-    assert abs(envelope_value(p, 5.0) - math.pi / math.sqrt(2) / 0.1) < 1e-12
-    assert envelope_value(p, 4.9) == 0.0
-    assert envelope_value(p, 5.1) == 0.0
+    assert abs(p.value(5.0) - math.pi / math.sqrt(2) / 0.1) < 1e-12
+    assert p.value(4.9) == 0.0
+    assert p.value(5.1) == 0.0
 
 
 def test_envelope_negative_time_rejected():
     p = HarmonicPulse(chi=1.0, omega=1.0)
     with pytest.raises(OutOfDomain):
-        envelope_value(p, -0.1)
+        p.value(-0.1)
 
 
 def test_delta_kick_has_no_pointwise_value():
     p = DeltaKickPulse(area=1.0, center=1.0)
     with pytest.raises(PointwiseUndefined):
-        envelope_value(p, 1.0)
+        p.value(1.0)
 
 
 def test_omega_must_be_positive():
@@ -59,7 +59,7 @@ def test_rect_support_must_be_nonnegative():
 
 def test_harmonic_action_quarter_period():
     p = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
-    assert abs(action(p, p.quarter_period) - 0.5 * math.pi) < 1e-15
+    assert abs(p.action(p.quarter_period) - 0.5 * math.pi) < 1e-15
 
 
 def test_action_zero_at_time_zero():
@@ -70,38 +70,38 @@ def test_action_zero_at_time_zero():
         SampledPulse(np.array([0.0, 1.0]), np.array([1.0, 1.0])),
     ]
     for p in pulses:
-        assert action(p, 0.0) == 0.0
+        assert p.action(0.0) == 0.0
 
 
 def test_delta_kick_action_step():
     p = DeltaKickPulse(area=2.221, center=1.0)
-    assert action(p, 0.999) == 0.0
-    assert action(p, 1.0) == 2.221
-    assert action(p, 1.5) == 2.221
+    assert p.action(0.999) == 0.0
+    assert p.action(1.0) == 2.221
+    assert p.action(1.5) == 2.221
 
 
 def test_rect_kick_action_ramp():
     p = RectKickPulse(area=2.0, center=1.0, width=0.5)
-    assert action(p, p.left) == 0.0
-    assert abs(action(p, 1.0) - 1.0) < 1e-12
-    assert action(p, p.right) == 2.0
-    assert action(p, 3.0) == 2.0
+    assert p.action(p.left) == 0.0
+    assert abs(p.action(1.0) - 1.0) < 1e-12
+    assert p.action(p.right) == 2.0
+    assert p.action(3.0) == 2.0
 
 
 def test_sampled_action_matches_trapezoid():
     t = np.array([0.0, 1.0, 2.0, 4.0])
     v = np.array([0.0, 2.0, 2.0, 0.0])
     p = SampledPulse(t, v)
-    assert abs(action(p, 1.0) - 1.0) < 1e-12
-    assert abs(action(p, 2.0) - 3.0) < 1e-12
-    assert abs(action(p, 4.0) - 5.0) < 1e-12
-    assert abs(action(p, 10.0) - 5.0) < 1e-12
+    assert abs(p.action(1.0) - 1.0) < 1e-12
+    assert abs(p.action(2.0) - 3.0) < 1e-12
+    assert abs(p.action(4.0) - 5.0) < 1e-12
+    assert abs(p.action(10.0) - 5.0) < 1e-12
 
 
 def test_sampled_starting_after_zero_has_zero_lead_in():
     p = SampledPulse(np.array([2.0, 3.0]), np.array([1.0, 1.0]))
-    assert action(p, 1.0) == 0.0
-    assert abs(action(p, 3.0) - 1.0) < 1e-12
+    assert p.action(1.0) == 0.0
+    assert abs(p.action(3.0) - 1.0) < 1e-12
 
 
 def test_sampled_times_must_increase():
@@ -112,7 +112,7 @@ def test_sampled_times_must_increase():
 def test_action_values_vectorized():
     p = HarmonicPulse(chi=2.0, omega=1.0)
     t = np.linspace(0.0, 10.0, 101)
-    expected = np.array([action(p, float(ti)) for ti in t])
+    expected = np.array([p.action(float(ti)) for ti in t])
     assert np.allclose(action_values(p, t), expected, atol=1e-15)
 
 
@@ -123,15 +123,11 @@ def test_harmonic_action_periodic():
                        atol=1e-9)
 
 
-def test_simpson_matches_harmonic_closed_form():
+def test_quadrature_matches_harmonic_closed_form():
     p = HarmonicPulse(chi=1.0, omega=1.0)
     for t in np.linspace(0.5, 20.0 * math.pi, 9):
-        q = quadrature_action(lambda u: p.value(u), float(t))
-        assert abs(q - action(p, float(t))) < 1e-9
-
-
-def test_simpson_polynomial_exact():
-    assert abs(adaptive_simpson(lambda x: x ** 3, 0.0, 2.0) - 4.0) < 1e-12
+        q, _ = quad(p.value, 0.0, float(t), epsabs=1e-12, limit=200)
+        assert abs(q - p.action(float(t))) < 1e-9
 
 
 def test_rect_action_matches_delta_outside_support():
@@ -139,14 +135,14 @@ def test_rect_action_matches_delta_outside_support():
     for w in (0.5, 0.1, 0.01):
         rect = RectKickPulse(area=1.3, center=2.0, width=w)
         for t in (0.0, 2.0 - w, 2.0 + w, 5.0):
-            assert action(rect, t) == action(delta, t)
+            assert rect.action(t) == delta.action(t)
 
 
 def test_solve_action_harmonic_peak():
     p = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
     t = solve_time_for_action(p, 0.5 * math.pi)
     assert abs(t - 0.5 * math.pi) < 1e-9
-    assert abs(action(p, t) - 0.5 * math.pi) <= 1e-12
+    assert abs(p.action(t) - 0.5 * math.pi) <= 1e-12
 
 
 def test_solve_action_harmonic_peak_tolerance():
@@ -158,7 +154,7 @@ def test_solve_action_harmonic_peak_tolerance():
     # just below the flat peak the root is well before the quarter period
     t = solve_time_for_action(p, peak - ACTION_SOLVE_TOL)
     assert abs(t - (p.quarter_period - math.sqrt(2.0 * ACTION_SOLVE_TOL / p.chi))) < 1e-9
-    assert abs(action(p, t) - (peak - ACTION_SOLVE_TOL)) <= 1e-15
+    assert abs(p.action(t) - (peak - ACTION_SOLVE_TOL)) <= 1e-15
 
 
 def test_solve_action_zero_target():
@@ -176,7 +172,7 @@ def test_solve_action_midrange():
     p = HarmonicPulse(chi=2.0, omega=3.0)
     for target in (0.1, 0.3, 0.6):
         t = solve_time_for_action(p, target)
-        assert abs(action(p, t) - target) <= 1e-12
+        assert abs(p.action(t) - target) <= 1e-12
 
 
 def test_solve_action_sampled():
@@ -188,10 +184,10 @@ def test_solve_action_sampled():
 def test_solve_action_sampled_flat_end():
     t = np.linspace(0.0, 0.5 * math.pi, 1001)
     p = SampledPulse(t, np.cos(t))
-    assert solve_time_for_action(p, action(p, t[-1])) == t[-1]
+    assert solve_time_for_action(p, p.action(t[-1])) == t[-1]
     for target in (0.1, 0.5, 0.999):
         root = solve_time_for_action(p, target)
-        assert abs(action(p, root) - target) <= 1e-15
+        assert abs(p.action(root) - target) <= 1e-15
 
 
 def test_solve_action_sampled_segment_root():
@@ -199,6 +195,12 @@ def test_solve_action_sampled_segment_root():
     p = SampledPulse(np.array([-1.0, 1.0, 3.0]), np.array([0.0, 2.0, 2.0]))
     assert abs(solve_time_for_action(p, 0.5) - (math.sqrt(2.0) - 1.0)) < 1e-15
     assert solve_time_for_action(p, 1.5) == 1.0
+
+
+def test_solve_action_rejects_kicks():
+    for p in (DeltaKickPulse(1.0, 1.0), RectKickPulse(1.0, 1.0, 0.5)):
+        with pytest.raises(OutOfDomain):
+            solve_time_for_action(p, 0.5)
 
 
 def test_solve_action_negative_target_rejected():
