@@ -22,8 +22,7 @@ from .errors import (ConfigError, DegenerateSpectrum, DegenpopError,
                      DimensionTooSmall, DomainError, FirstComponentZero,
                      GridMismatch, InvalidQuantumNumbers, OutOfDomain,
                      PointwiseUndefined, Unattainable, UnresolvedTimescale)
-from .numeric import (IntegratorConfig, compare, integrate, kick_convergence,
-                      leakage_scan)
+from .numeric import compare, integrate, kick_convergence, leakage_scan
 from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
                      SampledPulse, action_values, load_sampled_csv,
                      pulse_from_dict, save_sampled_csv, solve_time_for_action)
@@ -44,8 +43,7 @@ __all__ = [
     "DomainError", "FirstComponentZero", "GridMismatch",
     "InvalidQuantumNumbers", "OutOfDomain", "PointwiseUndefined",
     "Unattainable", "UnresolvedTimescale",
-    "IntegratorConfig", "compare", "integrate", "kick_convergence",
-    "leakage_scan",
+    "compare", "integrate", "kick_convergence", "leakage_scan",
     "DeltaKickPulse", "HarmonicPulse", "Pulse", "RectKickPulse",
     "SampledPulse", "action_values", "load_sampled_csv", "pulse_from_dict",
     "save_sampled_csv", "solve_time_for_action",

@@ -32,7 +32,7 @@ class Trajectory:
     """Time series of populations with the closure diagnostic.
 
     ``probabilities[k, j]`` is the population of bare state j at
-    ``times[k]``; ``closure[k]`` is the multiplicity-weighted population
+    ``times[k]``; ``closure[k]`` is the closure-weighted population
     sum, which equals 1 up to roundoff for exact propagation.
     """
 
@@ -57,21 +57,17 @@ def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     return amps
 
 
-def probabilities_at(basis: DressedBasis, action: float,
-                     multiplicity: int | None = None) -> np.ndarray:
-    """Populations |a_j|^2 at one action value, optionally closure-checked.
+def probabilities_at(basis: DressedBasis, action: float) -> np.ndarray:
+    """Populations |a_j|^2 at one action value, closure-checked.
 
-    ``multiplicity`` is the manifold size carried by the last state in a
-    reduced model; when given, the weighted sum (weight 1 per explicit
-    state, ``multiplicity`` on the last) is asserted to equal 1.
+    The populations weighted by the basis's closure weights
+    ``basis.scale**2`` must sum to 1 within CLOSURE_TOL, else
+    ArithmeticError.
     """
     p = np.abs(amplitudes_at(basis, action)) ** 2
-    if multiplicity is not None:
-        weights = np.ones(basis.n)
-        weights[-1] = multiplicity
-        total = float(weights @ p)
-        if abs(total - 1.0) > CLOSURE_TOL:
-            raise ArithmeticError(f"closure sum {total!r} deviates from 1")
+    total = float(basis.scale ** 2 @ p)
+    if abs(total - 1.0) > CLOSURE_TOL:
+        raise ArithmeticError(f"closure sum {total!r} deviates from 1")
     return p
 
 
@@ -136,8 +132,8 @@ def trajectory(model: CouplingModel, basis: DressedBasis,
         raise DomainError("closed-form propagation needs equal energies, "
                           f"got energies={energies}")
     times = np.asarray(times, dtype=float)
-    if times.size and times[0] < 0.0:
-        raise OutOfDomain("times must be non-negative")
+    if times.size and not (times.min() >= 0.0 and times.max() < math.inf):
+        raise OutOfDomain("times must be finite and non-negative")
     if np.any(np.diff(times) < 0.0):
         raise OutOfDomain("times must be non-decreasing")
     actions = action_values(model.pulse, times)

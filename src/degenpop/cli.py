@@ -130,8 +130,7 @@ def cmd_simulate(args) -> int:
         times = np.linspace(0.0, run["t_end"], run["samples"])
         traj = analytic.trajectory(model, basis, times)
     else:
-        config = numeric.IntegratorConfig(dt=run["dt"], t_end=run["t_end"])
-        traj = numeric.integrate(model, config)
+        traj = numeric.integrate(model, run["dt"], run["t_end"])
         if mode == "compare":
             basis = decompose_general(model)
             degenerate = model.with_energies(np.zeros(model.n))
@@ -139,9 +138,9 @@ def cmd_simulate(args) -> int:
             max_dev = numeric.compare(traj, ref)
 
     _write_output(traj, args.out or output["path"], output["format"])
-    t0 = model.pulse.reference_time(float(traj.times[-1]))
-    idx = int(np.argmin(np.abs(traj.times - t0)))
-    p2 = traj.probabilities[idx, 1]
+    t_ref = model.pulse.reference_time(float(traj.times[-1]))
+    idx = int(np.argmin(np.abs(traj.times - t_ref)))
+    t0, p2 = traj.times[idx], traj.probabilities[idx, 1]
     closure_err = float(np.max(np.abs(traj.closure - 1.0)))
     summary = (f"t0={t0:.17g} P2(t0)={p2:.17g} "
                f"closure_max_err={closure_err:.17g}")

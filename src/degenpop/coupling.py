@@ -7,14 +7,19 @@ shared envelope: the instantaneous coupling between states j and k is
 degenerate closed-form regime.
 
 A symmetric n-state manifold (states 3..n identical) is stored in its
-reduced 3-row form; ``reduced_multiplicity`` carries how many physical
-states the third row stands for.
+reduced 3-row form; ``reduced_multiplicity`` m carries how many physical
+states the third row stands for.  Every model obeys one structure rule
+under its closure weights ``w`` (all 1, and ``w[2] = m`` in the reduced
+form): ``diag(w) r`` is symmetric, and ``diag(r) = eps + (w - 1)/w``,
+the manifold's internal coupling shifting its self coupling.  This is the
+bright-state scaling of Morris & Shore, Phys. Rev. A 27, 906 (1983):
+with ``D = diag(sqrt(w))`` the matrix ``D r D^-1`` is real symmetric.
+The weights and that matrix are built once, when the model is.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -29,9 +34,9 @@ _STRUCT_TOL = 1e-12
 class CouplingModel:
     """Immutable description of the coupled system.
 
-    ``r`` is n-by-n and symmetric, except in the reduced symmetric-manifold
-    form where rows 1-2 carry the manifold multiplicity explicitly and the
-    third diagonal entry absorbs the intra-manifold coupling shift.
+    ``closure_weights`` (the conserved population sum is
+    ``sum_j w_j |a_j|^2``) and ``symmetrized()`` are derived from ``r``
+    and ``reduced_multiplicity`` at construction; all arrays are read-only.
     """
 
     n: int
@@ -40,74 +45,51 @@ class CouplingModel:
     energies: np.ndarray
     pulse: Pulse
     reduced_multiplicity: int | None = None
+    closure_weights: np.ndarray = field(init=False, repr=False)
+    _symmetric: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.array(self.r, dtype=float)
         eps = np.array(self.eps, dtype=float)
         energies = np.array(self.energies, dtype=float)
-        if not all(np.all(np.isfinite(a)) for a in (r, eps, energies)):
+        if not all(np.isfinite(a).all() for a in (r, eps, energies)):
             raise ValueError("r, eps and energies must be finite")
         if r.shape != (self.n, self.n):
             raise ValueError("r must be n-by-n")
         if eps.shape != (self.n,) or energies.shape != (self.n,):
             raise ValueError("eps and energies must have length n")
-        r.setflags(write=False)
-        eps.setflags(write=False)
-        energies.setflags(write=False)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "energies", energies)
+        w = np.ones(self.n)
         m = self.reduced_multiplicity
-        if m is None:
-            if not np.allclose(r, r.T, atol=_STRUCT_TOL, rtol=0):
-                raise ValueError("r must be symmetric")
-            if not np.allclose(np.diag(r), eps, atol=_STRUCT_TOL, rtol=0):
-                raise ValueError("diagonal of r must equal eps")
-        else:
+        if m is not None:
             if self.n != 3:
                 raise ValueError("reduced symmetric form has exactly 3 rows")
             if not (isinstance(m, int) and m >= 2):
                 raise ValueError("reduced_multiplicity must be an integer >= 2")
-            ok = (abs(r[0, 1] - r[1, 0]) <= _STRUCT_TOL
-                  and abs(r[0, 2] - m * r[2, 0]) <= _STRUCT_TOL
-                  and abs(r[1, 2] - m * r[2, 1]) <= _STRUCT_TOL
-                  and abs(r[0, 0] - eps[0]) <= _STRUCT_TOL
-                  and abs(r[1, 1] - eps[1]) <= _STRUCT_TOL
-                  and abs(r[2, 2] - eps[2] - (m - 1) / m)
-                  <= _STRUCT_TOL * max(1.0, abs(eps[2])))
-            if not ok:
-                raise ValueError("r does not follow the reduced symmetric form")
-
-    @property
-    def full_state_count(self) -> int:
-        """Physical number of states, unfolding the reduced manifold."""
-        m = self.reduced_multiplicity
-        return self.n if m is None else m + 2
-
-    @property
-    def closure_weights(self) -> np.ndarray:
-        """Per-row weights making the conserved probability sum equal 1."""
-        w = np.ones(self.n)
-        if self.reduced_multiplicity is not None:
-            w[2] = float(self.reduced_multiplicity)
-        return w
+            w[2] = m
+        wr = w[:, None] * r
+        # the shifted manifold entry rounds at the scale of its eps; an
+        # overflowing diag(w) r fails the check
+        diag_tol = _STRUCT_TOL * np.where(w > 1.0, np.maximum(1.0, np.abs(eps)), 1.0)
+        if not (np.abs(wr - wr.T).max(initial=0.0) <= _STRUCT_TOL
+                and (np.abs(np.diag(r) - eps - (w - 1.0) / w) <= diag_tol).all()):
+            raise ValueError("r breaks the structure rule: diag(w) r symmetric, "
+                             "diag(r) = eps + (w - 1)/w")
+        d = np.sqrt(w)
+        s = r * d[:, None] / d[None, :]
+        s = 0.5 * (s + s.T)
+        for name, a in (("r", r), ("eps", eps), ("energies", energies),
+                        ("closure_weights", w), ("_symmetric", s)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def symmetrized(self) -> np.ndarray:
         """``D r D^-1`` with ``D = diag(sqrt(closure weights))``, real symmetric.
 
-        In the reduced manifold form rows 1-2 carry the multiplicity m on
-        their manifold entries and row 3 carries 1; scaling by D puts
-        sqrt(m) on both sides (the bright-state scaling of Morris & Shore,
-        Phys. Rev. A 27, 906 (1983)).  The mean with the transpose removes
-        rounding.
+        Rows 1-2 of the reduced form carry m on their manifold entries and
+        row 3 carries 1; D puts sqrt(m) on both sides.  The mean with the
+        transpose removes rounding.
         """
-        d = np.sqrt(self.closure_weights)
-        s = self.r * d[:, None] / d[None, :]
-        return 0.5 * (s + s.T)
-
-    def coupling_at(self, t: float) -> np.ndarray:
-        """Instantaneous coupling matrix ``r * V(t)``."""
-        return self.r * self.pulse.value(t)
+        return self._symmetric
 
     def with_pulse(self, pulse: Pulse) -> "CouplingModel":
         return replace(self, pulse=pulse)
@@ -127,9 +109,6 @@ class CouplingModel:
             d["reduced_multiplicity"] = self.reduced_multiplicity
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @staticmethod
     def from_dict(d: dict[str, Any]) -> "CouplingModel":
         n = int(d["n"])
@@ -142,10 +121,6 @@ class CouplingModel:
             reduced_multiplicity=(int(d["reduced_multiplicity"])
                                   if "reduced_multiplicity" in d else None),
         )
-
-    @staticmethod
-    def from_json(s: str) -> "CouplingModel":
-        return CouplingModel.from_dict(json.loads(s))
 
 
 def standard_2state(eps1: float, eps2: float, pulse: Pulse) -> CouplingModel:

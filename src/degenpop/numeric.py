@@ -1,12 +1,13 @@
 """Reference integrator for the non-degenerate equations, and scans.
 
-Integrates the exact coupled equations
+``integrate(model, dt, t_end)`` integrates the exact coupled equations
 
     i da_j/dt = E_j a_j + V(t) sum_k r_jk a_k
 
-on a fixed grid.  This is the ground truth the closed-form degenerate
-solutions are checked against, and the instrument for measuring how
-finite level splitting degrades the transfer.
+over [0, t_end] on a fixed grid of steps no longer than dt.  This is the
+ground truth the closed-form degenerate solutions are checked against,
+and the instrument for measuring how finite level splitting degrades the
+transfer.
 
 The generator ``E + V(t) r`` does not depend on the state, so every step
 is a matrix exponential and all of them are built at once.  The state is
@@ -26,7 +27,6 @@ the rounding level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +45,6 @@ _W_LARGE = (3.0 + 2.0 * _SQRT3) / 12.0
 _CHUNK_STEPS = 4096
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step integration parameters."""
-
-    dt: float
-    t_end: float
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
-
-
 def resolution_bound(model: CouplingModel) -> float:
     """Largest admissible dt for this model's pulse and strength matrix.
 
@@ -75,27 +61,31 @@ def resolution_bound(model: CouplingModel) -> float:
     return bound
 
 
-def integrate(model: CouplingModel, config: IntegratorConfig) -> Trajectory:
-    """Trajectory from the ground state under the model's pulse.
+def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
+    """Trajectory over [0, t_end] from the ground state under the model's pulse.
 
     Every segment between envelope breakpoints is cut into equal steps
     no longer than dt, and the state is sampled at ``lo + k h`` after
     every step.  The segments of a piecewise-constant envelope (a
     rectangular kick) are propagated exactly; all other steps use CF4,
     whose error per step is O(h^5).
-    Raises UnresolvedTimescale when dt exceeds :func:`resolution_bound`,
+    Raises DomainError unless dt is positive and finite, t_end is
+    non-negative and finite and t_end/dt is at most 2**53;
+    UnresolvedTimescale when dt exceeds :func:`resolution_bound`;
     PointwiseUndefined for an instantaneous-kick pulse (use a
     rectangular kick instead).
     """
+    if not (0.0 < dt < math.inf and 0.0 <= t_end < math.inf and t_end / dt <= 2.0 ** 53):
+        raise DomainError("integrate needs a finite dt > 0 and a finite t_end >= 0 "
+                          f"with t_end/dt <= 2**53, got dt={dt}, t_end={t_end}")
     pulse = model.pulse
     bound = resolution_bound(model)
-    if config.dt > bound * (1.0 + 1e-12):
-        raise UnresolvedTimescale(
-            f"dt={config.dt} exceeds the resolvable bound {bound}")
+    if dt > bound * (1.0 + 1e-12):
+        raise UnresolvedTimescale(f"dt={dt} exceeds the resolvable bound {bound}")
 
     weights = model.closure_weights
     r_sym = model.symmetrized()
-    lo, hi, counts, h = _grid(pulse, config.t_end, config.dt)
+    lo, hi, counts, h = _grid(pulse, t_end, dt)
     seg = np.repeat(np.arange(lo.size), counts)
     k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
     ends = (k + 1) * h[seg]  # offset of every grid point into its segment
@@ -142,22 +132,20 @@ def leakage_scan(model_family, ratios) -> list[tuple[float, float]]:
         model = model_family(omega21)
         t0 = pulse.quarter_period
         dt = min(resolution_bound(model), 4.0 * t0 / 2000.0)
-        traj = integrate(model, IntegratorConfig(dt=dt, t_end=t0))
+        traj = integrate(model, dt, t0)
         out.append((float(ratio), float(1.0 - traj.probabilities[-1, 1])))
     return out
 
 
 def kick_convergence(model: CouplingModel, a0: float, t0: float,
-                     widths, dt: float | None = None) -> list[tuple[float, float]]:
+                     widths) -> list[tuple[float, float]]:
     """Post-kick transfer versus kick width, for rectangular kicks.
 
     Swaps a rectangular kick of area ``a0`` centered at ``t0`` into the
     model for each width and integrates through the kick.  Every segment
     of a rectangular kick is flat, so the result at each width is exact
-    and the step only sets the output grid: with no dt given it is
-    1/200 of the width, shortened further when the kick's total phase
-    exceeds 2 pi.  An explicit dt must pass :func:`resolution_bound` at
-    every width.
+    and the step only sets the output grid: 1/200 of the width, shortened
+    further when the kick's total phase exceeds 2 pi.
     """
     widths = [float(w) for w in widths]
     if not widths or any(w <= 0 for w in widths):
@@ -168,9 +156,8 @@ def kick_convergence(model: CouplingModel, a0: float, t0: float,
     phase_scale = max(1.0, z_max * abs(a0) / (2.0 * math.pi))
     out = []
     for w in widths:
-        step = dt if dt is not None else (w / 200.0) / phase_scale
         kicked = model.with_pulse(RectKickPulse(area=a0, center=t0, width=w))
-        traj = integrate(kicked, IntegratorConfig(dt=step, t_end=t0 + 0.5 * w))
+        traj = integrate(kicked, (w / 200.0) / phase_scale, t0 + 0.5 * w)
         out.append((w, float(traj.probabilities[-1, 1])))
     return out
 

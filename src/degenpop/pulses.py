@@ -420,8 +420,8 @@ def save_sampled_csv(pulse: SampledPulse, path) -> None:
 
 def _check_times(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if t.size and float(t.min()) < 0:
-        raise OutOfDomain("times must be non-negative")
+    if t.size and not (t.min() >= 0.0 and t.max() < math.inf):
+        raise OutOfDomain("times must be finite and non-negative")
     return t
 
 

@@ -9,7 +9,8 @@ non-zero leading component, so these oracles raise
 regime; the production basis in ``degenpop.dressed`` does not need them.
 
 :func:`w_full_nstate` builds the unreduced symmetric n-state matrix that
-the reduced manifold model stands for.
+the reduced manifold model stands for.  :func:`two_branch_structure_check`
+is the structure check ``CouplingModel`` made before it had one rule.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from degenpop.errors import DegenerateSpectrum, DimensionTooSmall, FirstComponentZero
 
+_STRUCT_TOL = 1e-12
 _DISTINCT_TOL = 1e-9
 _SINGULAR_TOL = 1e-12
 _FIRST_COMPONENT_TOL = 1e-12
@@ -45,6 +47,33 @@ def w_full_nstate(n: int, alpha: float, eps: float = 0.0) -> np.ndarray:
     w[0, 1] = w[1, 0] = alpha
     np.fill_diagonal(w, eps)
     return w
+
+
+def two_branch_structure_check(n: int, r: np.ndarray, eps: np.ndarray,
+                               m: int | None) -> None:
+    """Raise ValueError where the plain or the reduced form is broken.
+
+    One branch per form, as ``CouplingModel`` checked them clause by clause.
+    """
+    if m is None:
+        if not np.allclose(r, r.T, atol=_STRUCT_TOL, rtol=0):
+            raise ValueError("r must be symmetric")
+        if not np.allclose(np.diag(r), eps, atol=_STRUCT_TOL, rtol=0):
+            raise ValueError("diagonal of r must equal eps")
+    else:
+        if n != 3:
+            raise ValueError("reduced symmetric form has exactly 3 rows")
+        if not (isinstance(m, int) and m >= 2):
+            raise ValueError("reduced_multiplicity must be an integer >= 2")
+        ok = (abs(r[0, 1] - r[1, 0]) <= _STRUCT_TOL
+              and abs(r[0, 2] - m * r[2, 0]) <= _STRUCT_TOL
+              and abs(r[1, 2] - m * r[2, 1]) <= _STRUCT_TOL
+              and abs(r[0, 0] - eps[0]) <= _STRUCT_TOL
+              and abs(r[1, 1] - eps[1]) <= _STRUCT_TOL
+              and abs(r[2, 2] - eps[2] - (m - 1) / m)
+              <= _STRUCT_TOL * max(1.0, abs(eps[2])))
+        if not ok:
+            raise ValueError("r does not follow the reduced symmetric form")
 
 
 def decompose_2state(eps1: float, eps2: float):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,9 +85,10 @@ def test_probabilities_table_row_rounded_values():
 
 def test_probabilities_closure_check_rejects_bad_weight():
     b = basis_nstate(6, -1.0, 0.0)
-    probabilities_at(b, 1.3, multiplicity=4)
+    probabilities_at(b, 1.3)
+    # the same phase weights read with multiplicity 2 instead of 4
     with pytest.raises(ArithmeticError):
-        probabilities_at(b, 1.3, multiplicity=2)
+        probabilities_at(replace(b, scale=np.sqrt([1.0, 1.0, 2.0])), 1.3)
 
 
 def test_cosine_form_matches_squared_amplitudes():
@@ -183,6 +185,15 @@ def test_trajectory_rejects_negative_times():
     model = standard_2state(0.0, 0.0, pulse)
     with pytest.raises(OutOfDomain):
         trajectory(model, decompose_general(model), [-1.0, 0.0])
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf],
+                                   [math.nan], [-math.inf, 0.0]],
+                         ids=["nan", "inf", "only-nan", "-inf"])
+def test_trajectory_rejects_non_finite_times(times):
+    model = standard_2state(0.0, 0.0, PULSE)
+    with pytest.raises(OutOfDomain, match="finite"):
+        trajectory(model, decompose_general(model), times)
 
 
 def test_trajectory_side_band_count_grows_with_alpha():

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -71,6 +73,24 @@ def test_simulate_integrator_modes_exit_zero_and_repeat_bytes(tmp_path, capsys, 
     assert len(rows) == 1 + 1 + math.ceil(0.5 * math.pi / 0.005 - 1e-9)
     summary = capsys.readouterr().out
     assert ("max_dev=" in summary) == (mode == "compare")
+
+
+def test_summary_reports_the_time_of_its_row(tmp_path, capsys):
+    # the quarter period pi/2 lies past t_end = 1, so the last row is reported
+    config = write_config(tmp_path, mode="analytic", run={"t_end": 1.0, "samples": 11})
+    assert cli.main(["--config", str(config), "simulate"]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    last = (tmp_path / "out.csv").read_text().splitlines()[-1].split(",")
+    assert fields["t0"] == last[0] == "1"
+    assert fields["P2(t0)"] == last[2]
+
+
+def test_cli_import_needs_no_scipy():
+    code = "import sys, degenpop.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_mode_flag_overrides_config(tmp_path):

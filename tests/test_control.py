@@ -5,7 +5,12 @@ import pytest
 from oracles import w_full_nstate
 from scipy.linalg import expm
 
-from degenpop.control import design_3state, design_nstate, enumerate_designs
+from degenpop.analytic import amplitudes_many
+from degenpop.control import (design_3state, design_nstate, enumerate_designs,
+                              max_transfer_bound_2state)
+from degenpop.coupling import standard_2state
+from degenpop.dressed import decompose_general
+from degenpop.pulses import HarmonicPulse
 
 
 def transferred(w, action):
@@ -34,3 +39,16 @@ def test_nstate_design_at_three_states():
     d = design_nstate(3, 1)
     assert d.alpha == 0.0 and not math.copysign(1.0, d.alpha) < 0
     assert d.action_area == pytest.approx(math.pi / math.sqrt(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("eps1, eps2", [(0.0, 0.5), (0.3, -0.4), (1.0, 3.0), (-2.0, 2.0)])
+def test_two_state_bound_is_reached_and_never_exceeded(eps1, eps2):
+    bound = max_transfer_bound_2state(eps1, eps2)
+    d = 0.5 * (eps2 - eps1)
+    h = math.sqrt(1.0 + d * d)
+    basis = decompose_general(standard_2state(eps1, eps2, HarmonicPulse(1.0, 1.0)))
+    peak = abs(amplitudes_many(basis, [0.5 * math.pi / h])[0, 1]) ** 2
+    assert abs(peak - 1.0 / (1.0 + d * d)) <= 1e-12
+    assert abs(bound - peak) <= 1e-12
+    dense = np.abs(amplitudes_many(basis, np.linspace(0.0, 4.0 * math.pi, 20001))[:, 1]) ** 2
+    assert dense.max() <= bound + 1e-12

@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import two_branch_structure_check
 
 from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)
@@ -53,7 +58,6 @@ def test_symmetric_nstate_three_matches_standard():
 def test_symmetric_nstate_four_rows():
     m = symmetric_nstate(4, -1.0 / 3.0, 0.0, PULSE)
     assert m.reduced_multiplicity == 2
-    assert m.full_state_count == 4
     assert m.r[0, 2] == 2.0
     assert m.r[1, 2] == 2.0
     assert abs(m.r[2, 2] - 0.5) < 1e-15
@@ -77,12 +81,63 @@ def test_closure_weights():
                           [1, 1, 3])
 
 
-def test_coupling_at_is_symmetric_for_plain_models():
-    m = standard_3state(0.3, -0.4, [0.1, 0.0, -0.2], PULSE)
-    for t in (0.0, 0.7, 2.0):
-        inst = m.coupling_at(t)
-        assert np.allclose(inst, inst.T, atol=0)
-        assert np.allclose(inst, m.r * PULSE.value(t), atol=0)
+def test_weights_and_symmetric_form_are_stored_read_only():
+    m = symmetric_nstate(6, -1.0, 0.2, PULSE)
+    s = m.symmetrized()
+    assert s is m.symmetrized()
+    assert np.array_equal(m.closure_weights, [1, 1, 4])
+    # the manifold couplings 4 and 1 meet at sqrt(4) = 2
+    assert np.allclose(s, [[0.2, -1.0, 2.0], [-1.0, 0.2, 2.0], [2.0, 2.0, 0.95]],
+                       atol=1e-15, rtol=0)
+    for a in (s, m.closure_weights):
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+
+
+def test_overflowing_weighted_form_rejected():
+    # m * r[2, 2] overflows to inf, so diag(w) r cannot be checked
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        symmetric_nstate(4, 0.0, 1e308, PULSE)
+
+
+def same_verdict(n, r, eps, m, entry, k):
+    """Perturb one entry of r by k * 1e-12, then compare CouplingModel's
+    verdict with the two-branch oracle's."""
+    r = np.array(r)
+    i, j = entry[0] % n, entry[1] % n
+    r[i, j] += k * 1e-12
+    try:
+        two_branch_structure_check(n, r, eps, m)
+        expected = True
+    except ValueError:
+        expected = False
+    try:
+        CouplingModel(n, r, eps, np.zeros(n), PULSE, reduced_multiplicity=m)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+    assert accepted or k != 0
+
+
+ENTRY = st.tuples(st.integers(0, 5), st.integers(0, 5))
+SHIFT = st.sampled_from([0.0, 0.5, 2.0, -0.5, -2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), entry=ENTRY, k=SHIFT)
+def test_rule_matches_two_branch_check_on_plain_models(n, seed, entry, k):
+    a = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, n))
+    r = 0.5 * (a + a.T)
+    same_verdict(n, r, np.diag(r).copy(), None, entry, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 12), alpha=st.floats(-3.0, 3.0), eps=st.floats(-1e5, 1e5),
+       entry=ENTRY, k=SHIFT)
+def test_rule_matches_two_branch_check_on_reduced_models(n, alpha, eps, entry, k):
+    model = symmetric_nstate(n, alpha, eps, PULSE)
+    same_verdict(3, model.r, model.eps, n - 2, entry, k)
 
 
 def test_asymmetric_r_rejected_without_multiplicity():
@@ -109,10 +164,14 @@ def test_with_energies_keeps_structure():
     assert np.array_equal(m.r, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def roundtrip(m):
+    return CouplingModel.from_dict(json.loads(json.dumps(m.to_dict())))
+
+
 def test_json_roundtrip_plain():
     m = standard_3state(0.5, -1.0, [0.1, 0.2, 0.3], PULSE).with_energies(
         [0.0, 0.01, 0.02])
-    back = CouplingModel.from_json(m.to_json())
+    back = roundtrip(m)
     assert back.n == 3
     assert np.allclose(back.r, m.r, atol=0)
     assert np.allclose(back.energies, m.energies, atol=0)
@@ -121,7 +180,7 @@ def test_json_roundtrip_plain():
 
 def test_json_roundtrip_reduced():
     m = symmetric_nstate(6, -1.0, 0.0, PULSE)
-    back = CouplingModel.from_json(m.to_json())
+    back = roundtrip(m)
     assert back.reduced_multiplicity == 4
     assert np.allclose(back.r, m.r, atol=0)
 

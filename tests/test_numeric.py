@@ -8,9 +8,8 @@ from scipy.linalg import expm
 from degenpop.analytic import trajectory
 from degenpop.coupling import standard_2state, standard_3state, symmetric_nstate
 from degenpop.dressed import decompose_general
-from degenpop.errors import PointwiseUndefined, UnresolvedTimescale
-from degenpop.numeric import (IntegratorConfig, integrate, kick_convergence,
-                              leakage_scan, resolution_bound)
+from degenpop.errors import DomainError, PointwiseUndefined, UnresolvedTimescale
+from degenpop.numeric import integrate, kick_convergence, leakage_scan, resolution_bound
 from degenpop.pulses import (DeltaKickPulse, HarmonicPulse, RectKickPulse,
                              SampledPulse)
 
@@ -86,7 +85,7 @@ def sampled_cosine(samples=1001, chi=0.8):
 @pytest.mark.parametrize("build", [split_3state, split_reduced_5state])
 def test_harmonic_split_energies_match_dop853(build):
     model = build()
-    traj = integrate(model, IntegratorConfig(dt=resolution_bound(model), t_end=8.0))
+    traj = integrate(model, resolution_bound(model), 8.0)
     ref = dop853(model, traj.times)
     assert np.max(np.abs(traj.amplitudes - ref)) < 1e-9
     assert np.max(np.abs(traj.closure - 1.0)) < 1e-12
@@ -96,7 +95,7 @@ def test_rect_kick_is_exact():
     a0 = 1.1
     for model in (standard_2state(0.0, 0.0, RectKickPulse(a0, 1.0, 0.1)),
                   standard_3state(0.3, 1.0, np.zeros(3), RectKickPulse(a0, 1.0, 0.1))):
-        traj = integrate(model, IntegratorConfig(dt=resolution_bound(model), t_end=1.05))
+        traj = integrate(model, resolution_bound(model), 1.05)
         assert np.max(np.abs(traj.amplitudes[-1] - expm(-1j * a0 * model.r)[:, 0])) < 1e-12
 
 
@@ -104,14 +103,14 @@ def test_rect_kick_step_is_bounded_by_its_phase_not_its_width():
     model = standard_2state(0.0, 0.0, RectKickPulse(0.05, 1.0, 0.1))
     dt = resolution_bound(model)
     assert dt == pytest.approx(2.0 * math.pi / 0.5 / 200.0, rel=1e-12)  # 31x width/50
-    traj = integrate(model, IntegratorConfig(dt=dt, t_end=1.05))
+    traj = integrate(model, dt, 1.05)
     assert np.max(np.abs(traj.amplitudes[-1] - expm(-0.05j * model.r)[:, 0])) < 1e-12
 
 
 def test_rect_kick_with_split_energies_matches_expm_per_segment():
     pulse = RectKickPulse(0.9, 1.0, 0.2)
     model = standard_3state(0.3, 1.0, np.zeros(3), pulse).with_energies([0.0, 0.7, -0.4])
-    traj = integrate(model, IntegratorConfig(dt=0.001, t_end=1.5))
+    traj = integrate(model, 0.001, 1.5)
     h0 = np.diag(model.energies)
     u = (expm(-1j * 0.4 * h0) @ expm(-1j * 0.2 * (h0 + pulse.height * model.r))
          @ expm(-1j * 0.9 * h0))
@@ -129,8 +128,7 @@ def test_kick_convergence_is_exact_at_every_width():
 
 def test_sampled_pulse_degenerate_limit_matches_analytic():
     model = standard_3state(0.3, 1.0, np.zeros(3), sampled_cosine())
-    traj = integrate(model, IntegratorConfig(dt=resolution_bound(model),
-                                             t_end=4.0 * math.pi))
+    traj = integrate(model, resolution_bound(model), 4.0 * math.pi)
     ref = trajectory(model, decompose_general(model), traj.times)
     assert np.max(np.abs(traj.probabilities - ref.probabilities)) < 1e-12
 
@@ -139,7 +137,7 @@ def test_many_steps_degenerate_harmonic_matches_analytic():
     # 20000 steps span several propagator chunks and blocks
     model = standard_3state(0.5, 1.0, np.zeros(3), HarmonicPulse(1.0, 1.0))
     dt = resolution_bound(model)
-    traj = integrate(model, IntegratorConfig(dt=dt, t_end=20000 * dt))
+    traj = integrate(model, dt, 20000 * dt)
     ref = trajectory(model, decompose_general(model), traj.times)
     assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) < 1e-9
 
@@ -147,7 +145,7 @@ def test_many_steps_degenerate_harmonic_matches_analytic():
 def test_closure_drift_after_20000_steps():
     model = split_3state().with_pulse(HarmonicPulse(1.0, 1.0))
     dt = resolution_bound(model)
-    traj = integrate(model, IntegratorConfig(dt=dt, t_end=20000 * dt))
+    traj = integrate(model, dt, 20000 * dt)
     assert traj.times.size == 20001
     assert np.max(np.abs(traj.closure - 1.0)) <= 3e-11
 
@@ -164,7 +162,7 @@ def test_closure_drift_after_20000_steps():
 ])
 def test_grid_is_the_rk4_grid(pulse, t_end, dt):
     model = standard_3state(0.2, 1.0, np.zeros(3), pulse).with_energies([0.0, 0.3, 0.1])
-    traj = integrate(model, IntegratorConfig(dt=dt, t_end=t_end))
+    traj = integrate(model, dt, t_end)
     times, amps = rk4_reference(model, dt, t_end)
     assert np.array_equal(traj.times, times)
     assert np.max(np.abs(traj.amplitudes - amps)) < 1e-7
@@ -172,16 +170,14 @@ def test_grid_is_the_rk4_grid(pulse, t_end, dt):
 
 def test_sampled_envelope_at_bound_gives_one_row_per_sample():
     model = standard_3state(0.3, 1.0, np.zeros(3), sampled_cosine())
-    traj = integrate(model, IntegratorConfig(dt=resolution_bound(model),
-                                             t_end=4.0 * math.pi))
+    traj = integrate(model, resolution_bound(model), 4.0 * math.pi)
     assert traj.times.size == 1001
     assert np.array_equal(traj.times[1:], model.pulse.times[1:])
 
 
 def test_zero_duration_gives_one_row():
     for pulse in (HarmonicPulse(1.0, 1.0), RectKickPulse(1.0, 1.0, 0.5)):
-        traj = integrate(standard_2state(0.0, 0.0, pulse),
-                         IntegratorConfig(dt=0.001, t_end=0.0))
+        traj = integrate(standard_2state(0.0, 0.0, pulse), 0.001, 0.0)
         assert traj.times.tolist() == [0.0]
         assert traj.probabilities.tolist() == [[1.0, 0.0]]
 
@@ -189,20 +185,25 @@ def test_zero_duration_gives_one_row():
 def test_delta_kick_cannot_be_integrated():
     model = standard_2state(0.0, 0.0, DeltaKickPulse(1.0, 1.0))
     with pytest.raises(PointwiseUndefined):
-        integrate(model, IntegratorConfig(dt=0.001, t_end=2.0))
+        integrate(model, 0.001, 2.0)
 
 
 def test_step_above_bound_is_rejected():
     model = split_3state()
     with pytest.raises(UnresolvedTimescale):
-        integrate(model, IntegratorConfig(dt=1.01 * resolution_bound(model), t_end=1.0))
+        integrate(model, 1.01 * resolution_bound(model), 1.0)
 
 
-def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=0.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=0.1, t_end=-1.0)
+@pytest.mark.parametrize("dt, t_end", [
+    (0.0, 1.0), (-0.1, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (0.1, -1.0), (0.1, math.nan), (0.1, math.inf), (1e-3, 1e300),
+], ids=["dt-zero", "dt-negative", "dt-nan", "dt-inf",
+        "t_end-negative", "t_end-nan", "t_end-inf", "t_end-1e300"])
+def test_integrate_rejects_bad_step_and_end(dt, t_end):
+    # only rejected values: an accepted huge step count would allocate
+    model = standard_2state(0.0, 0.0, HarmonicPulse(1.0, 1.0))
+    with pytest.raises(DomainError, match=r"dt=.*t_end="):
+        integrate(model, dt, t_end)
 
 
 def test_leakage_scan_matches_dop853():

@@ -13,7 +13,7 @@ from degenpop import cli
 from degenpop.analytic import trajectory
 from degenpop.coupling import CouplingModel, standard_3state, symmetric_nstate
 from degenpop.dressed import decompose_general
-from degenpop.numeric import IntegratorConfig, integrate, resolution_bound
+from degenpop.numeric import integrate, resolution_bound
 from degenpop.pulses import (PULSE_KINDS, STEPS_PER_PERIOD, DeltaKickPulse,
                              HarmonicPulse, Pulse, RectKickPulse, SampledPulse,
                              pulse_from_dict)
@@ -117,7 +117,7 @@ def test_new_envelope_roundtrips_once_registered(monkeypatch):
 
 def test_new_envelope_integrates_at_its_resolution_bound():
     model = standard_3state(0.3, 1.0, np.zeros(3), Sin2Pulse(1.3, 0.7))
-    traj = integrate(model, IntegratorConfig(dt=resolution_bound(model), t_end=6.0))
+    traj = integrate(model, resolution_bound(model), 6.0)
     ref = trajectory(model, decompose_general(model), traj.times)
     assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) < 1e-9
 

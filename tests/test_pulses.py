@@ -36,6 +36,20 @@ def test_envelope_negative_time_rejected():
         p.value(-0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pulse", [
+    HarmonicPulse(1.0, 1.0), DeltaKickPulse(1.0, 1.0), RectKickPulse(1.0, 1.0, 0.5),
+    SampledPulse(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+], ids=["harmonic", "delta_kick", "rect_kick", "sampled"])
+def test_non_finite_times_rejected(pulse, t):
+    times = np.array([0.0, t])
+    with pytest.raises(OutOfDomain, match="finite"):
+        pulse.action_values(times)
+    if not isinstance(pulse, DeltaKickPulse):  # has no pointwise value at all
+        with pytest.raises(OutOfDomain, match="finite"):
+            pulse.values(times)
+
+
 def test_delta_kick_has_no_pointwise_value():
     p = DeltaKickPulse(area=1.0, center=1.0)
     with pytest.raises(PointwiseUndefined):
