@@ -8,7 +8,10 @@ external tools can plot it; identical inputs produce byte-identical
 output.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric
-failure (including a compare run exceeding its tolerance).
+failure (including a compare run exceeding its tolerance).  ``main``
+alone maps exceptions to them, by one rule: a ``ValueError`` (every
+value-style library error, a malformed JSON file) or an ``OSError``
+exits 2; any other ``DegenpopError`` or an ``ArithmeticError`` exits 3.
 """
 
 from __future__ import annotations
@@ -24,23 +27,18 @@ from . import analytic, control, numeric
 from .coupling import (CouplingModel, standard_2state, standard_3state,
                        symmetric_nstate)
 from .dressed import decompose_general
-from .errors import (ConfigError, DegenpopError, DomainError,
-                     InvalidQuantumNumbers, PointwiseUndefined,
-                     UnresolvedTimescale)
-from .pulses import (PULSE_KINDS, HarmonicPulse, Pulse, RectKickPulse,
-                     pulse_from_dict)
+from .errors import ConfigError, DegenpopError
+from .pulses import PULSE_KINDS, HarmonicPulse, Pulse, RectKickPulse
 
 _USAGE_EXIT = 2
 _NUMERIC_EXIT = 3
-# failures caused by the input: the configuration, the arguments or a file
-_USAGE_ERRORS = (ConfigError, InvalidQuantumNumbers, DomainError,
-                 PointwiseUndefined, UnresolvedTimescale, OSError,
-                 json.JSONDecodeError)
 
-_CONFIG_KEYS = {"model", "pulse", "run", "output"}
-_MODEL_KEYS = {"n", "alpha", "beta", "eps", "energies", "reduced_multiplicity"}
+_MODEL_KEYS = {"n", "alpha", "beta", "eps", "energies"}
 _RUN_KEYS = {"mode", "t_end", "dt", "samples"}
 _OUTPUT_KEYS = {"path", "format"}
+# each section's keys; the pulse's are narrowed to its kind's own later
+_SECTIONS = {"model": _MODEL_KEYS, "run": _RUN_KEYS, "output": _OUTPUT_KEYS,
+             "pulse": {"kind"}.union(*(cls.schema for cls in PULSE_KINDS.values()))}
 # most rows a run may hold: each costs a few hundred bytes in memory
 _MAX_ROWS = 10 ** 7
 
@@ -53,7 +51,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (DegenpopError, ArithmeticError) as exc:
@@ -92,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("leakage", help="scan transfer loss versus splitting")
-    p.add_argument("--ratios", required=True,
+    p.add_argument("--ratios", type=_floats, required=True,
                    help="comma-separated carrier-to-splitting ratios")
     p.set_defaults(func=cmd_leakage)
 
@@ -105,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kick", help="rectangular-kick convergence scan")
     p.add_argument("--A0", type=float, required=True, dest="a0")
-    p.add_argument("--widths", required=True,
+    p.add_argument("--widths", type=_floats, required=True,
                    help="comma-separated kick widths, decreasing")
     p.add_argument("--t0", type=float, default=None, help="kick center time")
     p.add_argument("--n", type=int, default=2, choices=[2, 3])
@@ -121,32 +119,30 @@ def cmd_simulate(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and non-negative, got {args.tol}")
     with open(args.config) as fh:
-        raw = json.load(fh)
-    model, run, output = _validate_config(raw, mode_override=args.mode)
-    mode = run["mode"]
+        model, run = _validate_config(json.load(fh), args.mode)
     max_dev = None
-    if mode == "analytic":
-        basis = decompose_general(model)
+    if run["mode"] == "analytic":
         times = np.linspace(0.0, run["t_end"], run["samples"])
-        traj = analytic.trajectory(model, basis, times)
+        traj = analytic.trajectory(model, decompose_general(model), times)
     else:
         traj = numeric.integrate(model, run["dt"], run["t_end"])
-        if mode == "compare":
-            basis = decompose_general(model)
+        if run["mode"] == "compare":
             degenerate = model.with_energies(np.zeros(model.n))
-            ref = analytic.trajectory(degenerate, basis, traj.times)
+            ref = analytic.trajectory(degenerate, decompose_general(model), traj.times)
             max_dev = numeric.compare(traj, ref)
 
-    _write_output(traj, args.out or output["path"], output["format"])
+    if run["format"] == "csv":
+        text = analytic.trajectory_to_csv(traj)
+    else:
+        text = json.dumps({"t": traj.times.tolist(), "P": traj.probabilities.tolist(),
+                           "closure": traj.closure.tolist()}, sort_keys=True)
+    _emit(text, args.out or run["path"])
     t_ref = model.pulse.reference_time(float(traj.times[-1]))
     idx = int(np.argmin(np.abs(traj.times - t_ref)))
-    t0, p2 = traj.times[idx], traj.probabilities[idx, 1]
-    closure_err = float(np.max(np.abs(traj.closure - 1.0)))
-    summary = (f"t0={t0:.17g} P2(t0)={p2:.17g} "
-               f"closure_max_err={closure_err:.17g}")
-    if max_dev is not None:
-        summary += f" max_dev={max_dev:.17g}"
-    print(summary)
+    summary = {"t0": traj.times[idx], "P2(t0)": traj.probabilities[idx, 1],
+               "closure_max_err": np.max(np.abs(traj.closure - 1.0)),
+               "max_dev": max_dev}
+    print(" ".join(f"{k}={v:.17g}" for k, v in summary.items() if v is not None))
     if max_dev is not None and max_dev > args.tol:
         print(f"error: max deviation {max_dev:.17g} exceeds tolerance "
               f"{args.tol:.17g}", file=sys.stderr)
@@ -155,21 +151,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_design(args) -> int:
+    need = {"three-state": ("n1", "n2"), "n-state": ("n", "n0"), "two-state": ("v",)}
+    missing = [f"--{name}" for name in need[args.family] if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"{args.family} design needs {' and '.join(missing)}")
     if args.family == "three-state":
-        if args.n1 is None or args.n2 is None:
-            raise ConfigError("three-state design needs --n1 and --n2")
         d = control.design_3state(args.n1, args.n2, args.sign)
-        print(f"A_t0={d.action_area:.3f} alpha={d.alpha:.3f} beta={d.beta:g}")
     elif args.family == "n-state":
-        if args.n is None or args.n0 is None:
-            raise ConfigError("n-state design needs --n and --n0")
         d = control.design_nstate(args.n, args.n0)
-        print(f"A_t0={d.action_area:.3f} alpha={d.alpha:.3f} beta={d.beta:g}")
     else:
-        if args.v is None:
-            raise ConfigError("two-state design needs --v")
         d = control.two_state_design(args.v)
-        print(f"A_t0={d.action_area:.3f}")
+    shape = "" if d.alpha is None else f" alpha={d.alpha:.3f} beta={d.beta:g}"
+    print(f"A_t0={d.action_area:.3f}{shape}")
     return 0
 
 
@@ -183,16 +176,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_leakage(args) -> int:
-    ratios = _parse_floats(args.ratios, "ratios")
     pulse = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
 
     def family(omega21: float) -> CouplingModel:
         return standard_2state(0.0, 0.0, pulse).with_energies([0.0, omega21])
 
-    rows = numeric.leakage_scan(family, ratios)
-    lines = ["ratio,leakage"]
-    lines += [f"{r:.17g},{dp:.17g}" for r, dp in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv("ratio,leakage", numeric.leakage_scan(family, args.ratios)), args.out)
     return 0
 
 
@@ -203,171 +192,121 @@ def cmd_flatness(args) -> int:
 
 
 def cmd_kick(args) -> int:
-    widths = _parse_floats(args.widths, "widths")
+    widths = args.widths
     if not widths:
         raise ConfigError("need at least one width")
-    if not all(math.isfinite(w) for w in widths):
-        raise ConfigError("widths must be finite")
     t0 = args.t0 if args.t0 is not None else max(1.0, widths[0])
-    try:
-        placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
-        if args.n == 2:
-            model = standard_2state(0.0, 0.0, placeholder)
-        else:
-            model = standard_3state(args.alpha, 1.0, np.zeros(3), placeholder)
-    except ValueError as exc:
-        raise ConfigError(f"invalid kick: {exc}") from exc
+    placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
+    model = (standard_2state(0.0, 0.0, placeholder) if args.n == 2
+             else standard_3state(args.alpha, 1.0, np.zeros(3), placeholder))
     rows = numeric.kick_convergence(model, args.a0, t0, widths)
-    lines = ["width,P2_final"]
-    lines += [f"{w:.17g},{p2:.17g}" for w, p2 in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv("width,P2_final", rows), args.out)
     return 0
 
 
 def _validate_config(raw, mode_override=None):
-    """The model, the run and the output sections of a JSON configuration."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a JSON object")
-    _reject_unknown(raw, _CONFIG_KEYS, "top level")
-    for key in ("model", "pulse", "run", "output"):
-        if key not in raw:
-            raise ConfigError(f"missing '{key}' section")
-        if not isinstance(raw[key], dict):
-            raise ConfigError(f"'{key}' must be an object")
-
-    pulse = _build_pulse(raw["pulse"])
-    model = _build_model(raw["model"], pulse)
-    run = dict(raw["run"])
-    _reject_unknown(run, _RUN_KEYS, "run")
-    if mode_override is not None:
-        run["mode"] = mode_override
-    mode = run.get("mode")
+    """The model of a JSON configuration, and its run and output settings."""
+    raw = _section(raw, "configuration", _SECTIONS)
+    sec = {key: _section(raw.get(key), key, keys) for key, keys in _SECTIONS.items()}
+    model = _build_model(sec["model"], _build_pulse(sec["pulse"]))
+    run = sec["run"]
+    mode = mode_override or run.get("mode")
     if mode not in ("analytic", "numeric", "compare"):
         raise ConfigError("run.mode must be analytic, numeric, or compare")
-    if "t_end" not in run:
-        raise ConfigError("run.t_end is required")
-    t_end = _as_number(run["t_end"], "run.t_end")
+    t_end = _number(run, "t_end", "run")
     if t_end < 0:
         raise ConfigError("run.t_end must be non-negative")
-    samples = run.get("samples", 1001)
-    if not isinstance(samples, int) or not 1 <= samples <= _MAX_ROWS:
+    samples = _number(run, "samples", "run", 1001, kind=int)
+    if not 1 <= samples <= _MAX_ROWS:
         raise ConfigError(f"run.samples must be an integer in [1, {_MAX_ROWS}]")
     dt = None
-    if mode in ("numeric", "compare"):
-        if "dt" not in run:
-            raise ConfigError(f"run.dt is required for {mode} runs")
-        dt = _as_number(run["dt"], "run.dt")
+    if mode != "analytic":
+        dt = _number(run, "dt", "run")
         if dt <= 0:
             raise ConfigError("run.dt must be positive")
         if t_end / dt > _MAX_ROWS:
             raise ConfigError(f"run.t_end/run.dt exceeds {_MAX_ROWS} steps")
-
-    output = dict(raw["output"])
-    _reject_unknown(output, _OUTPUT_KEYS, "output")
-    if "path" not in output or not isinstance(output["path"], str):
-        raise ConfigError("output.path is required")
-    fmt = output.get("format", "csv")
+    path, fmt = sec["output"].get("path"), sec["output"].get("format", "csv")
+    if not (isinstance(path, str) and path):
+        raise ConfigError("output.path must be a non-empty string")
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
+    return model, {"mode": mode, "t_end": t_end, "dt": dt, "samples": samples,
+                   "path": path, "format": fmt}
 
-    return (model, {"mode": mode, "t_end": t_end, "dt": dt, "samples": samples},
-            {"path": output["path"], "format": fmt})
 
-
-def _build_pulse(section) -> Pulse:
-    sec = dict(section)
+def _build_pulse(sec: dict) -> Pulse:
     kind = sec.get("kind")
     cls = PULSE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown pulse kind {kind!r}")
-    _reject_unknown(sec, {"kind", *cls.schema}, "pulse")
+    sec = dict(_section(sec, "pulse", {"kind", *cls.schema}))
     for key, expected in cls.schema.items():
-        if expected is float and key in sec:
-            sec[key] = _as_number(sec[key], f"pulse.{key}")
-    try:
-        return pulse_from_dict(sec)
-    except KeyError as exc:
-        raise ConfigError(
-            f"pulse.{exc.args[0]} is required for kind {kind!r}") from exc
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(f"invalid pulse: {exc}") from exc
+        if expected is float:
+            sec[key] = _number(sec, key, "pulse")
+    return cls.from_dict(sec)
 
 
-def _build_model(section, pulse: Pulse) -> CouplingModel:
-    sec = dict(section)
-    _reject_unknown(sec, _MODEL_KEYS, "model")
-    if "n" not in sec or not isinstance(sec["n"], int):
-        raise ConfigError("model.n must be an integer")
-    n = sec["n"]
-    eps = sec.get("eps", 0)
-    multiplicity = sec.get("reduced_multiplicity")
-    try:
-        if n == 2:
-            for key in ("alpha", "beta", "reduced_multiplicity"):
-                if key in sec:
-                    raise ConfigError(f"model.{key} does not apply at n=2")
-            e = _vector(eps, 2, "model.eps")
-            model = standard_2state(e[0], e[1], pulse)
-        elif n == 3 and multiplicity is None:
-            if "alpha" not in sec:
-                raise ConfigError("model.alpha is required at n=3")
-            beta = _as_number(sec.get("beta", 1.0), "model.beta")
-            model = standard_3state(_as_number(sec["alpha"], "model.alpha"),
-                                    beta, _vector(eps, 3, "model.eps"), pulse)
+def _build_model(sec: dict, pulse: Pulse) -> CouplingModel:
+    n = _number(sec, "n", "model", kind=int)
+    if n < 2:
+        raise ConfigError("model.n must be at least 2")
+    if n == 2:
+        if {"alpha", "beta"} & set(sec):
+            raise ConfigError("model.alpha and model.beta do not apply at n=2")
+        model = standard_2state(*_vector(sec, "eps", 2), pulse)
+    else:
+        alpha = _number(sec, "alpha", "model")
+        beta = _number(sec, "beta", "model", 1.0)
+        if n == 3:
+            model = standard_3state(alpha, beta, _vector(sec, "eps", 3), pulse)
+        elif beta != 1:
+            raise ConfigError("model.beta must be 1 in the symmetric n >= 4 model")
         else:
-            if n < 3:
-                raise ConfigError("model.n must be at least 2")
-            if multiplicity is not None and multiplicity != n - 2:
-                raise ConfigError(
-                    "model.reduced_multiplicity must equal n - 2")
-            if "beta" in sec and sec["beta"] != 1:
-                raise ConfigError("the symmetric manifold model fixes beta=1")
-            if "alpha" not in sec:
-                raise ConfigError("model.alpha is required")
-            model = symmetric_nstate(n, _as_number(sec["alpha"], "model.alpha"),
-                                     _as_number(eps, "model.eps"), pulse)
-        if "energies" in sec:
-            model = model.with_energies(
-                _vector(sec["energies"], model.n, "model.energies"))
-    except (ValueError, TypeError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid model: {exc}") from exc
+            model = symmetric_nstate(n, alpha, _number(sec, "eps", "model", 0.0),
+                                     pulse)
+    if "energies" in sec:
+        model = model.with_energies(_vector(sec, "energies", model.n))
     return model
 
 
-def _vector(value, n: int, name: str) -> np.ndarray:
-    """A number repeated n times, or a list of n numbers."""
+def _vector(sec: dict, key: str, n: int) -> np.ndarray:
+    """``model.<key>`` (default 0) as n numbers: one repeated, or a list of n."""
+    value = sec.get(key, 0)
     values = value if isinstance(value, list) else [value] * n
     if len(values) != n:
-        raise ConfigError(f"{name} must be a number or a list of {n}")
-    return np.array([_as_number(v, name) for v in values])
+        raise ConfigError(f"model.{key} must be a number or a list of {n}")
+    return np.array([_number({key: v}, key, "model") for v in values])
 
 
-def _as_number(value, name: str) -> float:
-    if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{name} must be a finite number")
-    return float(value)
+def _number(sec: dict, key: str, where: str, default=None, kind=float):
+    """``sec[key]`` as a finite JSON number, or an integer when ``kind`` is
+    int; ``default`` when the key is absent, which is an error without one."""
+    if key not in sec:
+        if default is None:
+            raise ConfigError(f"{where}.{key} is required")
+        return default
+    value = sec[key]
+    if kind is int and not isinstance(value, int):
+        raise ConfigError(f"{where}.{key} must be an integer")
+    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where}.{key} must be a finite number")
+    return kind(value)
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _section(value, where: str, allowed) -> dict:
+    """``value``, which must be a JSON object whose keys lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} section must be a JSON object")
+    unknown = set(value) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return value
 
 
-def _write_output(traj, path: str, fmt: str) -> None:
-    if fmt == "csv":
-        text = analytic.trajectory_to_csv(traj)
-    else:
-        doc = {
-            "t": traj.times.tolist(),
-            "P": traj.probabilities.tolist(),
-            "closure": traj.closure.tolist(),
-        }
-        text = json.dumps(doc, sort_keys=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def _csv(header: str, rows) -> str:
+    """CSV text: the header, then each row's two numbers at full precision."""
+    return "".join([header + "\n", *(f"{a:.17g},{b:.17g}\n" for a, b in rows)])
 
 
 def _emit(text: str, out_path) -> None:
@@ -378,11 +317,12 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _parse_floats(raw: str, name: str) -> list[float]:
+def _floats(raw: str) -> list[float]:
+    """Comma-separated numbers, read as an argparse ``type``."""
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"invalid {name}: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ The weights and that matrix are built once, when the model is.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -28,6 +29,8 @@ from .errors import DimensionTooSmall
 from .pulses import Pulse, pulse_from_dict
 
 _STRUCT_TOL = 1e-12
+# past 2**53 floats skip integers, so a larger state count has no exact weight
+_MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +66,10 @@ class CouplingModel:
         if m is not None:
             if self.n != 3:
                 raise ValueError("reduced symmetric form has exactly 3 rows")
-            if not (isinstance(m, int) and m >= 2):
+            m = _as_count(m, "reduced_multiplicity")
+            if m < 2:
                 raise ValueError("reduced_multiplicity must be an integer >= 2")
+            object.__setattr__(self, "reduced_multiplicity", m)
             w[2] = m
         wr = w[:, None] * r
         # the shifted manifold entry rounds at the scale of its eps; an
@@ -153,7 +158,9 @@ def symmetric_nstate(n: int, alpha: float, eps: float, pulse: Pulse) -> Coupling
     manifold n-2 times, and the manifold's internal coupling shifts its
     effective self coupling by (n-3)/(n-2).  For n = 3 this is exactly the
     plain symmetric three-state model (beta = 1) and is returned as such.
+    ``n`` may be of any integer type.
     """
+    n = _as_count(n, "n")
     if n < 3:
         raise DimensionTooSmall("symmetric manifold needs n >= 3")
     if n == 3:
@@ -166,3 +173,16 @@ def symmetric_nstate(n: int, alpha: float, eps: float, pulse: Pulse) -> Coupling
     ])
     e3 = np.array([eps, eps, eps])
     return CouplingModel(3, r, e3, np.zeros(3), pulse, reduced_multiplicity=m)
+
+
+def _as_count(value, name: str) -> int:
+    """``value`` of any integer type as an int; raises ValueError for a
+    non-integer or for a count above 2**53."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, "
+                         f"not {type(value).__name__}") from None
+    if count > _MAX_COUNT:
+        raise ValueError(f"{name} must be at most 2**53")
+    return count

@@ -1,7 +1,8 @@
 """Exception types raised by the library.
 
 Domain- and value-style failures subclass ``ValueError`` so that generic
-callers can still catch them the usual way.
+callers can still catch them the usual way.  The command line exits 2 on
+any ``ValueError``; the other ``DegenpopError`` types exit 3.
 """
 
 

@@ -354,6 +354,8 @@ class SampledPulse(Pulse):
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SampledPulse":
         if "samples" not in d:
+            if "samples_file" not in d:
+                raise ValueError(f"{cls.kind} pulse needs samples or samples_file")
             return load_sampled_csv(d["samples_file"])
         samples = np.asarray(d["samples"])
         if samples.dtype.kind not in "iuf" or samples.shape[1:] != (2,):
@@ -386,24 +388,29 @@ def solve_time_for_action(pulse: Pulse, target: float) -> float:
 
 def _at_branch_start(target: float, a_hi: float) -> bool:
     """Whether ``target`` maps to t = 0 on a branch rising from A(0) = 0 to
-    ``a_hi``; raises for a target outside the branch."""
-    if target < 0:
-        raise OutOfDomain("target action must be non-negative")
+    ``a_hi``; raises for a target outside the branch, NaN included."""
+    if not target >= 0:
+        raise OutOfDomain(f"target action must be non-negative, got {target}")
     if target > a_hi + ACTION_SOLVE_TOL:
         raise Unattainable(f"action {target} exceeds branch maximum {a_hi}")
     return target <= ACTION_SOLVE_TOL
 
 
 def load_sampled_csv(path) -> SampledPulse:
-    """Read a sampled envelope from CSV with header ``t,V``."""
+    """Read a sampled envelope from CSV with header ``t,V``; blank lines
+    are skipped and every other row holds exactly the two fields."""
     if not isinstance(path, (str, os.PathLike)):
-        raise TypeError(f"sample file path must be a string, not {path!r}")
+        raise ValueError(f"samples_file must be a path string, not {path!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t", "V"]:
             raise ValueError("expected CSV header 't,V'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        rows = [r for r in reader if r]
+    bad = next((r for r in rows if len(r) != 2), None)
+    if bad is not None:
+        raise ValueError(f"samples_file row {bad} must hold the two fields t,V")
+    rows = [(float(t), float(v)) for t, v in rows]
     if len(rows) < 2:
         raise ValueError("need at least 2 samples")
     t, v = zip(*rows)

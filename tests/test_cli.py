@@ -322,3 +322,60 @@ def test_fuzzed_configs_exit_zero_or_two_without_traceback(kind, edits, section,
         if code == 2:
             assert err.getvalue().startswith("error: ")
             assert sorted(p.name for p in tmp.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("section,edit,key", [
+    ("pulse", {"chi": DELETE}, "pulse.chi"),
+    ("pulse", {"kind": "custom_sampled", "chi": DELETE, "omega": DELETE}, "samples"),
+    ("run", {"t_end": -1.0}, "run.t_end"),
+    ("run", {"dt": 0}, "run.dt"),
+    ("run", {"dt": -0.1}, "run.dt"),
+    ("model", {"alpha": "0.3"}, "model.alpha"),
+    ("model", {"n": 1}, "model.n"),
+    ("model", {"n": 4, "beta": 2.0}, "model.beta"),
+    ("model", {"reduced_multiplicity": 1}, "reduced_multiplicity"),
+], ids=["pulse.chi-missing", "samples-missing", "t_end-negative", "dt-zero",
+        "dt-negative", "alpha-string", "n-one", "beta-at-n4", "reduced_multiplicity"])
+def test_rejected_config_names_its_key(tmp_path, capsys, section, edit, key):
+    config = write_config(tmp_path)
+    raw = json.loads(config.read_text())
+    for name, value in edit.items():
+        if value is DELETE:
+            del raw[section][name]
+        else:
+            raw[section][name] = value
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_unrepresentable_state_count_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, model={"n": 10 ** 400, "beta": 1.0, "energies": 0})
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["flatness", "--pcr", "1", "--ts", "1"], "omega=1.12838\n"),
+    (["design", "two-state", "--v", "1"], "A_t0=1.571\n"),
+    (["design", "three-state", "--n1", "1", "--n2", "5"],
+     "A_t0=1.656 alpha=-2.530 beta=1\n"),
+])
+def test_one_line_subcommands_print_their_result(capsys, argv, expected):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_table_prints_thirteen_designs(capsys):
+    assert cli.main(["table", "--max-product", "30"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "n1n2,n1,n2,ne,no,noprime,A_t0,alpha"
+    assert len(rows) == 1 + 13
+    assert rows[1] == "5,1,5,2,-1,3,1.656,-2.530"
+
+
+def test_design_nstate_below_three_states_exits_two(capsys):
+    assert cli.main(["design", "n-state", "--n", "2", "--n0", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

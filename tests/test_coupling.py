@@ -75,6 +75,23 @@ def test_symmetric_nstate_rejects_small_n():
         symmetric_nstate(2, 0.0, 0.0, PULSE)
 
 
+def test_symmetric_nstate_takes_any_integer_type():
+    a = symmetric_nstate(np.int64(6), -1.0, 0.2, PULSE)
+    b = symmetric_nstate(6, -1.0, 0.2, PULSE)
+    assert type(a.reduced_multiplicity) is int
+    assert a.reduced_multiplicity == b.reduced_multiplicity == 4
+    assert np.array_equal(a.r, b.r)
+    json.dumps(a.to_dict())  # a NumPy integer would not serialize
+    m = CouplingModel(3, b.r, b.eps, np.zeros(3), PULSE, reduced_multiplicity=np.uint8(4))
+    assert type(m.reduced_multiplicity) is int
+
+
+@pytest.mark.parametrize("n", [6.0, 2 ** 53 + 1, 10 ** 400], ids=["float", "2**53+1", "1e400"])
+def test_symmetric_nstate_rejects_non_integer_or_unrepresentable_n(n):
+    with pytest.raises(ValueError, match="n must be"):
+        symmetric_nstate(n, 0.0, 0.0, PULSE)
+
+
 def test_closure_weights():
     assert np.array_equal(standard_2state(0, 0, PULSE).closure_weights, [1, 1])
     assert np.array_equal(symmetric_nstate(5, 0, 0, PULSE).closure_weights,

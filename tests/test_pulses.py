@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from degenpop.errors import OutOfDomain, PointwiseUndefined, Unattainable
 from degenpop.pulses import (ACTION_SOLVE_TOL, DeltaKickPulse, HarmonicPulse,
                              RectKickPulse, SampledPulse, action_values,
-                             load_sampled_csv, save_sampled_csv,
-                             solve_time_for_action)
+                             load_sampled_csv, pulse_from_dict,
+                             save_sampled_csv, solve_time_for_action)
 
 
 def test_harmonic_envelope_at_zero():
@@ -222,6 +222,17 @@ def test_solve_action_negative_target_rejected():
         solve_time_for_action(HarmonicPulse(1.0, 1.0), -0.5)
 
 
+@pytest.mark.parametrize("pulse", [
+    HarmonicPulse(1.0, 1.0),
+    DeltaKickPulse(1.0, 1.0),
+    RectKickPulse(1.0, 1.0, 0.5),
+    SampledPulse(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0])),
+], ids=lambda p: p.kind)
+def test_solve_action_nan_target_rejected(pulse):
+    with pytest.raises(OutOfDomain):
+        solve_time_for_action(pulse, math.nan)
+
+
 def test_action_nondecreasing_where_envelope_nonnegative():
     p = HarmonicPulse(chi=1.7, omega=1.0)
     t = np.linspace(0.0, p.quarter_period, 200)
@@ -243,3 +254,28 @@ def test_sampled_csv_requires_header(tmp_path):
     path.write_text("time,value\n0,1\n1,1\n")
     with pytest.raises(ValueError):
         load_sampled_csv(path)
+
+
+@pytest.mark.parametrize("text", ["t,V\n0,0\n1\n2,0\n", "t,V\n0,0\n1,1,1\n2,0\n"],
+                         ids=["one-field", "three-fields"])
+def test_sampled_csv_row_must_hold_two_fields(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="samples_file row"):
+        load_sampled_csv(path)
+
+
+def test_sampled_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("t,V\n0,0\n\n1,1\n")
+    assert np.array_equal(load_sampled_csv(path).times, [0.0, 1.0])
+
+
+def test_sampled_csv_path_must_be_a_path():
+    with pytest.raises(ValueError, match="samples_file"):
+        load_sampled_csv(3)
+
+
+def test_sampled_dict_without_samples_names_both_keys():
+    with pytest.raises(ValueError, match="samples or samples_file"):
+        pulse_from_dict({"kind": "custom_sampled"})
