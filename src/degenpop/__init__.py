@@ -25,7 +25,7 @@ from .errors import (ConfigError, DegenerateSpectrum, DegenpopError,
 from .numeric import compare, integrate, kick_convergence, leakage_scan
 from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
                      SampledPulse, action_values, load_sampled_csv,
-                     pulse_from_dict, save_sampled_csv, solve_time_for_action)
+                     pulse_from_dict, save_sampled_csv)
 
 __version__ = "0.1.0"
 
@@ -46,5 +46,5 @@ __all__ = [
     "compare", "integrate", "kick_convergence", "leakage_scan",
     "DeltaKickPulse", "HarmonicPulse", "Pulse", "RectKickPulse",
     "SampledPulse", "action_values", "load_sampled_csv", "pulse_from_dict",
-    "save_sampled_csv", "solve_time_for_action",
+    "save_sampled_csv",
 ]

@@ -103,11 +103,14 @@ def design_nstate(n: int, n0: int) -> ControlDesign:
         alpha = -(n-3) / (3 (n-2)) = -s/3
 
     and beta = 1.  At n = 3 this is alpha = 0, A(t0) = n0 pi / sqrt(2).
+    Raises DomainError for n or |n0| above 2**53.
     """
     if n < 3:
         raise DimensionTooSmall("need n >= 3")
     if not isinstance(n0, int) or n0 % 2 == 0:
         raise InvalidQuantumNumbers("n0 must be an odd integer")
+    if n > 2 ** 53 or abs(n0) > 2 ** 53:
+        raise DomainError("n and |n0| must be at most 2**53")
     m = n - 2
     s = (n - 3) / m
     area = n0 * math.pi * math.sqrt(9.0 / (18.0 * m + 4.0 * s * s))

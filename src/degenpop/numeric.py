@@ -15,13 +15,14 @@ carried as ``b = D a`` with ``D = diag(sqrt(closure weights))``, which
 makes ``D r D^-1`` real symmetric (the reduced manifold form included)
 and every exponential one real ``eigh``.  Steps never straddle an
 envelope breakpoint: integration is carved into segments between
-breakpoints.  On the flat segments of a rectangular kick (the kick and
-the zero gaps around it) the propagator is exact at every grid point.
-Elsewhere each step uses the fourth-order commutator-free Magnus scheme
-CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): two
-exponentials at the Gauss nodes of the step.  Each factor is unitary up
-to rounding, so there is no renormalization and closure drift stays at
-the rounding level.
+breakpoints, and every step uses the fourth-order commutator-free Magnus
+scheme CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): two
+exponentials at the Gauss nodes of the step.  Where the envelope is
+constant (a rectangular kick and the zero gaps around it) both factors
+are ``exp(-i h (E/2 + V r/2))``; they commute, and their product is the
+exact ``exp(-i h (E + V r))`` at any step.  Each factor is unitary up to
+rounding, so there is no renormalization and closure drift stays at the
+rounding level.
 """
 
 from __future__ import annotations
@@ -48,13 +49,16 @@ _CHUNK_STEPS = 4096
 def resolution_bound(model: CouplingModel) -> float:
     """Largest admissible dt for this model's pulse and strength matrix.
 
-    The step must resolve both the envelope's own shape (its
-    ``max_step``) and the fastest dressed phase at peak envelope, 1/200
-    of its period.  Raises PointwiseUndefined for a pulse without a
-    pointwise envelope.
+    The step must resolve the envelope's own shape (its ``max_step``).
+    CF4 is exact at any step on a piecewise-constant envelope, so that is
+    the whole bound there; any other step must also resolve the fastest
+    dressed phase at peak envelope, 1/200 of its period.  Raises
+    PointwiseUndefined for a pulse without a pointwise envelope.
     """
     pulse = model.pulse
     bound = pulse.max_step
+    if pulse.piecewise_constant:
+        return bound
     rate = _spectral_radius(model) * pulse.peak
     if rate > 0:
         bound = min(bound, 2.0 * math.pi / rate / STEPS_PER_PERIOD)
@@ -66,9 +70,8 @@ def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
 
     Every segment between envelope breakpoints is cut into equal steps
     no longer than dt, and the state is sampled at ``lo + k h`` after
-    every step.  The segments of a piecewise-constant envelope (a
-    rectangular kick) are propagated exactly; all other steps use CF4,
-    whose error per step is O(h^5).
+    every step.  Every step is one CF4 step, whose error is O(h^5) and
+    zero (up to rounding) where the envelope is constant.
     Raises DomainError unless dt is positive and finite, t_end is
     non-negative and finite and t_end/dt is at most 2**53;
     UnresolvedTimescale when dt exceeds :func:`resolution_bound`;
@@ -85,19 +88,14 @@ def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
 
     weights = model.closure_weights
     r_sym = model.symmetrized()
-    lo, hi, counts, h = _grid(pulse, t_end, dt)
+    lo, counts, h = _grid(pulse, t_end, dt)
     seg = np.repeat(np.arange(lo.size), counts)
     k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    ends = (k + 1) * h[seg]  # offset of every grid point into its segment
     b0 = np.zeros(model.n, dtype=complex)
     b0[0] = 1.0
-    if pulse.piecewise_constant:
-        b = _flat_segments(model.energies, r_sym, pulse.values(0.5 * (lo + hi)),
-                           np.split(ends, np.cumsum(counts)[:-1]), b0)
-    else:
-        b = _cf4(model.energies, r_sym, pulse, lo[seg] + k * h[seg], h[seg], b0)
+    b = _cf4(model.energies, r_sym, pulse, lo[seg] + k * h[seg], h[seg], b0)
 
-    times = np.concatenate([[0.0], lo[seg] + ends])
+    times = np.concatenate([[0.0], lo[seg] + (k + 1) * h[seg]])
     amps = np.concatenate([b0[None], b]) / np.sqrt(weights)
     probs = np.abs(amps) ** 2
     return Trajectory(times, amps, probs, probs @ weights)
@@ -120,14 +118,13 @@ def leakage_scan(model_family, ratios) -> list[tuple[float, float]]:
     takes at least 500 CF4 steps up to the quarter period, which keeps
     its error against a tight DOP853 solution below 1e-12.
     """
+    pulse = model_family(0.0).pulse
+    if not isinstance(pulse, HarmonicPulse):
+        raise DomainError("leakage scan needs a harmonic pulse")
     out = []
     for ratio in ratios:
         if not ratio > 0:
             raise DomainError("ratios must be positive")
-        probe = model_family(0.0)
-        pulse = probe.pulse
-        if not isinstance(pulse, HarmonicPulse):
-            raise DomainError("leakage scan needs a harmonic pulse")
         omega21 = 0.0 if math.isinf(ratio) else pulse.omega / ratio
         model = model_family(omega21)
         t0 = pulse.quarter_period
@@ -142,22 +139,20 @@ def kick_convergence(model: CouplingModel, a0: float, t0: float,
     """Post-kick transfer versus kick width, for rectangular kicks.
 
     Swaps a rectangular kick of area ``a0`` centered at ``t0`` into the
-    model for each width and integrates through the kick.  Every segment
-    of a rectangular kick is flat, so the result at each width is exact
-    and the step only sets the output grid: 1/200 of the width, shortened
-    further when the kick's total phase exceeds 2 pi.
+    model for each width and integrates through the kick at its
+    :func:`resolution_bound`, the width.  Every segment of a rectangular
+    kick is flat, where CF4 is exact, so the result at each width is exact
+    whatever the step.
     """
     widths = [float(w) for w in widths]
     if not widths or any(w <= 0 for w in widths):
         raise DomainError("widths must be positive")
     if any(b >= a for a, b in zip(widths, widths[1:])):
         raise DomainError("widths must be strictly decreasing")
-    z_max = _spectral_radius(model)
-    phase_scale = max(1.0, z_max * abs(a0) / (2.0 * math.pi))
     out = []
     for w in widths:
         kicked = model.with_pulse(RectKickPulse(area=a0, center=t0, width=w))
-        traj = integrate(kicked, (w / 200.0) / phase_scale, t0 + 0.5 * w)
+        traj = integrate(kicked, resolution_bound(kicked), t0 + 0.5 * w)
         out.append((w, float(traj.probabilities[-1, 1])))
     return out
 
@@ -165,30 +160,14 @@ def kick_convergence(model: CouplingModel, a0: float, t0: float,
 def _grid(pulse, t_end: float, dt: float):
     """Cut [0, t_end] at the pulse's breakpoints into equal steps <= dt.
 
-    Returns the segment edges ``lo`` and ``hi`` and every segment's step
-    count and step length.
+    Returns every segment's start, step count and step length.
     """
     cuts = np.asarray(pulse.breakpoints(), dtype=float)
     cuts = np.unique(cuts[(cuts > 0.0) & (cuts < t_end)])
     edges = np.concatenate([[0.0], cuts, [t_end]]) if t_end > 0.0 else np.zeros(1)
     lo, hi = edges[:-1], edges[1:]
     counts = np.maximum(1, np.ceil((hi - lo) / dt - 1e-9)).astype(np.int64)
-    return lo, hi, counts, (hi - lo) / counts
-
-
-def _flat_segments(energies, r_sym, values, offsets, b):
-    """States at the given offsets into each constant-envelope segment.
-
-    Segment j holds the envelope at ``values[j]``; its states are
-    ``Q exp(-i lambda t) Q^T b`` at every offset t, with b the state at
-    the segment's start.
-    """
-    out = [np.empty((0, b.size), dtype=complex)]
-    for v, t in zip(values, offsets):
-        lam, q = np.linalg.eigh(np.diag(energies) + v * r_sym)
-        out.append((np.exp(-1j * np.outer(t, lam)) * (q.T @ b)) @ q.T)
-        b = out[-1][-1]
-    return np.concatenate(out)
+    return lo, counts, (hi - lo) / counts
 
 
 def _cf4(energies, r_sym, pulse, starts, steps, b):

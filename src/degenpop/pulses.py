@@ -35,8 +35,8 @@ class Pulse(ABC):
     # number); the base to_dict/from_dict map the keys to the fields in order
     kind: ClassVar[str]
     schema: ClassVar[dict[str, type]]
-    # True when V is constant between breakpoints, so each such segment
-    # propagates exactly
+    # True when V is constant between breakpoints: CF4 is exact at any
+    # step between breakpoints, so max_step alone bounds the step
     piecewise_constant: ClassVar[bool] = False
 
     @abstractmethod
@@ -118,7 +118,7 @@ class HarmonicPulse(Pulse):
     omega: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.chi, self.omega)
+        _require_finite(chi=self.chi, omega=self.omega)
         if not self.omega > 0:
             raise ValueError("omega must be positive")
 
@@ -172,7 +172,7 @@ class DeltaKickPulse(Pulse):
     center: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.area, self.center)
+        _require_finite(A0=self.area, t0=self.center)
         if not self.center > 0:
             raise ValueError("kick center must be positive")
 
@@ -205,7 +205,8 @@ class RectKickPulse(Pulse):
 
     ``V(t) = area/width`` on ``[center - width/2, center + width/2]`` and
     zero elsewhere.  Converges to :class:`DeltaKickPulse` as width -> 0.
-    The envelope is flat between its edges, so any step resolves it.
+    The envelope is flat between its edges, where CF4 is exact at any
+    step; ``max_step``, the width, only sets the output grid.
     """
 
     kind: ClassVar[str] = "rect_kick"
@@ -217,7 +218,7 @@ class RectKickPulse(Pulse):
     width: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.area, self.center, self.width)
+        _require_finite(A0=self.area, t0=self.center, width=self.width)
         if not self.width > 0:
             raise ValueError("width must be positive")
         if self.center - 0.5 * self.width < 0:
@@ -280,7 +281,7 @@ class SampledPulse(Pulse):
         v = np.asarray(self.values_, dtype=float)
         if t.ndim != 1 or v.shape != t.shape or t.size < 2:
             raise ValueError("need matching 1-d arrays with at least 2 samples")
-        _require_finite(t, v)
+        _require_finite(samples=(t, v))
         if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -381,11 +382,6 @@ def action_values(pulse: Pulse, t: np.ndarray) -> np.ndarray:
     return pulse.action_values(np.asarray(t, dtype=float))
 
 
-def solve_time_for_action(pulse: Pulse, target: float) -> float:
-    """Smallest ``t >= 0`` with ``A(t) = target``; see :meth:`Pulse.invert_action`."""
-    return pulse.invert_action(target)
-
-
 def _at_branch_start(target: float, a_hi: float) -> bool:
     """Whether ``target`` maps to t = 0 on a branch rising from A(0) = 0 to
     ``a_hi``; raises for a target outside the branch, NaN included."""
@@ -432,6 +428,8 @@ def _check_times(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _require_finite(*params) -> None:
-    if not all(np.all(np.isfinite(p)) for p in params):
-        raise ValueError("pulse parameters must be finite")
+def _require_finite(**params) -> None:
+    """Raises ValueError naming every parameter that is not finite."""
+    bad = [name for name, value in params.items() if not np.all(np.isfinite(value))]
+    if bad:
+        raise ValueError(f"pulse parameters must be finite: {', '.join(bad)}")

@@ -185,20 +185,22 @@ def test_nonfinite_config_number_exits_two(tmp_path, capsys, section, key, kind,
     assert cli.main(["--config", str(config), "simulate"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert key.split("[")[0] in err
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["--A0", "inf", "--widths", "0.4"],
-    ["--A0", "nan", "--widths", "0.4"],
-    ["--A0", "1.0", "--widths", "inf"],
-    ["--A0", "1.0", "--widths", "0.4", "--t0=-inf"],
-    ["--A0", "1.0", "--widths", "0.4", "--n", "3", "--alpha", "nan"],
+@pytest.mark.parametrize("args,name", [
+    (["--A0", "inf", "--widths", "0.4"], "A0"),
+    (["--A0", "nan", "--widths", "0.4"], "A0"),
+    (["--A0", "1.0", "--widths", "inf"], "width"),
+    (["--A0", "1.0", "--widths", "0.4", "--t0=-inf"], "t0"),
+    (["--A0", "1.0", "--widths", "0.4", "--n", "3", "--alpha", "nan"], "finite"),
 ], ids=["A0-inf", "A0-nan", "widths-inf", "t0--inf", "alpha-nan"])
-def test_nonfinite_kick_argument_exits_two(tmp_path, capsys, args):
+def test_nonfinite_kick_argument_exits_two(tmp_path, capsys, args, name):
     out = tmp_path / "kick.csv"
     assert cli.main(["--out", str(out), "kick", *args]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
     assert not out.exists()
 
 
@@ -379,3 +381,11 @@ def test_table_prints_thirteen_designs(capsys):
 def test_design_nstate_below_three_states_exits_two(capsys):
     assert cli.main(["design", "n-state", "--n", "2", "--n0", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n,n0", [(10 ** 400, 1), (5, 10 ** 400 + 1), (5, -10 ** 400 - 1)],
+                         ids=["n", "n0", "negative-n0"])
+def test_design_nstate_huge_integer_exits_two(capsys, n, n0):
+    assert cli.main(["design", "n-state", "--n", str(n), f"--n0={n0}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2**53" in err

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from degenpop import numeric
 from degenpop.analytic import trajectory
 from degenpop.coupling import standard_2state, standard_3state, symmetric_nstate
 from degenpop.dressed import decompose_general
@@ -99,12 +102,20 @@ def test_rect_kick_is_exact():
         assert np.max(np.abs(traj.amplitudes[-1] - expm(-1j * a0 * model.r)[:, 0])) < 1e-12
 
 
-def test_rect_kick_step_is_bounded_by_its_phase_not_its_width():
-    model = standard_2state(0.0, 0.0, RectKickPulse(0.05, 1.0, 0.1))
-    dt = resolution_bound(model)
-    assert dt == pytest.approx(2.0 * math.pi / 0.5 / 200.0, rel=1e-12)  # 31x width/50
-    traj = integrate(model, dt, 1.05)
-    assert np.max(np.abs(traj.amplitudes[-1] - expm(-0.05j * model.r)[:, 0])) < 1e-12
+@settings(max_examples=200, deadline=None)
+@given(area=st.floats(-3.0, 3.0), width=st.floats(0.01, 1.0), gap=st.floats(0.0, 2.0),
+       tail=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0),
+       energies=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_rect_kick_bound_is_its_width_and_exact_there(area, width, gap, tail, alpha,
+                                                      energies):
+    pulse = RectKickPulse(area, 0.5 * width + gap, width)
+    model = standard_3state(alpha, 1.0, np.zeros(3), pulse).with_energies(energies)
+    assert resolution_bound(model) == width
+    traj = integrate(model, width, pulse.right + tail)
+    h0 = np.diag(model.energies)
+    u = (expm(-1j * (traj.times[-1] - pulse.right) * h0)
+         @ expm(-1j * width * (h0 + pulse.height * model.r)) @ expm(-1j * pulse.left * h0))
+    assert np.max(np.abs(traj.amplitudes[-1] - u[:, 0])) < 1e-12
 
 
 def test_rect_kick_with_split_energies_matches_expm_per_segment():
@@ -124,6 +135,21 @@ def test_kick_convergence_is_exact_at_every_width():
     rows = kick_convergence(model, 1.2, 1.0, [0.4, 0.2, 0.1, 0.05])
     assert [w for w, _ in rows] == [0.4, 0.2, 0.1, 0.05]
     assert max(abs(p2 - ref) for _, p2 in rows) < 1e-12
+
+
+def test_kick_convergence_steps_at_the_kick_width(monkeypatch):
+    seen = []
+
+    def spy(model, dt, t_end):
+        traj = integrate(model, dt, t_end)
+        seen.append((dt, traj.times.size - 1))
+        return traj
+
+    monkeypatch.setattr(numeric, "integrate", spy)
+    model = standard_3state(-0.4, 1.0, np.zeros(3), RectKickPulse(1.2, 1.0, 0.4))
+    kick_convergence(model, 1.2, 1.0, [0.4, 0.2, 0.1, 0.05])
+    assert [dt for dt, _ in seen] == [0.4, 0.2, 0.1, 0.05]
+    assert sum(steps for _, steps in seen) == 41  # the gap before each kick, then the kick
 
 
 def test_sampled_pulse_degenerate_limit_matches_analytic():

@@ -8,7 +8,7 @@ from degenpop.errors import OutOfDomain, PointwiseUndefined, Unattainable
 from degenpop.pulses import (ACTION_SOLVE_TOL, DeltaKickPulse, HarmonicPulse,
                              RectKickPulse, SampledPulse, action_values,
                              load_sampled_csv, pulse_from_dict,
-                             save_sampled_csv, solve_time_for_action)
+                             save_sampled_csv)
 
 
 def test_harmonic_envelope_at_zero():
@@ -154,7 +154,7 @@ def test_rect_action_matches_delta_outside_support():
 
 def test_solve_action_harmonic_peak():
     p = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
-    t = solve_time_for_action(p, 0.5 * math.pi)
+    t = p.invert_action(0.5 * math.pi)
     assert abs(t - 0.5 * math.pi) < 1e-9
     assert abs(p.action(t) - 0.5 * math.pi) <= 1e-12
 
@@ -162,64 +162,64 @@ def test_solve_action_harmonic_peak():
 def test_solve_action_harmonic_peak_tolerance():
     p = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
     peak = p.chi / p.omega
-    assert solve_time_for_action(p, peak + ACTION_SOLVE_TOL) == p.quarter_period
+    assert p.invert_action(peak + ACTION_SOLVE_TOL) == p.quarter_period
     with pytest.raises(Unattainable):
-        solve_time_for_action(p, peak + 2.0 * ACTION_SOLVE_TOL)
+        p.invert_action(peak + 2.0 * ACTION_SOLVE_TOL)
     # just below the flat peak the root is well before the quarter period
-    t = solve_time_for_action(p, peak - ACTION_SOLVE_TOL)
+    t = p.invert_action(peak - ACTION_SOLVE_TOL)
     assert abs(t - (p.quarter_period - math.sqrt(2.0 * ACTION_SOLVE_TOL / p.chi))) < 1e-9
     assert abs(p.action(t) - (peak - ACTION_SOLVE_TOL)) <= 1e-15
 
 
 def test_solve_action_zero_target():
     p = HarmonicPulse(chi=1.0, omega=1.0)
-    assert solve_time_for_action(p, 0.0) == 0.0
+    assert p.invert_action(0.0) == 0.0
 
 
 def test_solve_action_unattainable():
     p = HarmonicPulse(chi=1.0, omega=1.0)
     with pytest.raises(Unattainable):
-        solve_time_for_action(p, 2.0)
+        p.invert_action(2.0)
 
 
 def test_solve_action_midrange():
     p = HarmonicPulse(chi=2.0, omega=3.0)
     for target in (0.1, 0.3, 0.6):
-        t = solve_time_for_action(p, target)
+        t = p.invert_action(target)
         assert abs(p.action(t) - target) <= 1e-12
 
 
 def test_solve_action_sampled():
     p = SampledPulse(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
-    t = solve_time_for_action(p, 1.5)
+    t = p.invert_action(1.5)
     assert abs(t - 1.5) < 1e-9
 
 
 def test_solve_action_sampled_flat_end():
     t = np.linspace(0.0, 0.5 * math.pi, 1001)
     p = SampledPulse(t, np.cos(t))
-    assert solve_time_for_action(p, p.action(t[-1])) == t[-1]
+    assert p.invert_action(p.action(t[-1])) == t[-1]
     for target in (0.1, 0.5, 0.999):
-        root = solve_time_for_action(p, target)
+        root = p.invert_action(target)
         assert abs(p.action(root) - target) <= 1e-15
 
 
 def test_solve_action_sampled_segment_root():
     # A(t) = t + t^2/2 on [0, 1]: the root of A = 1/2 is sqrt(2) - 1
     p = SampledPulse(np.array([-1.0, 1.0, 3.0]), np.array([0.0, 2.0, 2.0]))
-    assert abs(solve_time_for_action(p, 0.5) - (math.sqrt(2.0) - 1.0)) < 1e-15
-    assert solve_time_for_action(p, 1.5) == 1.0
+    assert abs(p.invert_action(0.5) - (math.sqrt(2.0) - 1.0)) < 1e-15
+    assert p.invert_action(1.5) == 1.0
 
 
 def test_solve_action_rejects_kicks():
     for p in (DeltaKickPulse(1.0, 1.0), RectKickPulse(1.0, 1.0, 0.5)):
         with pytest.raises(OutOfDomain):
-            solve_time_for_action(p, 0.5)
+            p.invert_action(0.5)
 
 
 def test_solve_action_negative_target_rejected():
     with pytest.raises(OutOfDomain):
-        solve_time_for_action(HarmonicPulse(1.0, 1.0), -0.5)
+        HarmonicPulse(1.0, 1.0).invert_action(-0.5)
 
 
 @pytest.mark.parametrize("pulse", [
@@ -230,7 +230,7 @@ def test_solve_action_negative_target_rejected():
 ], ids=lambda p: p.kind)
 def test_solve_action_nan_target_rejected(pulse):
     with pytest.raises(OutOfDomain):
-        solve_time_for_action(pulse, math.nan)
+        pulse.invert_action(math.nan)
 
 
 def test_action_nondecreasing_where_envelope_nonnegative():
