@@ -9,8 +9,8 @@ from .analytic import (Trajectory, amplitudes_at, amplitudes_many,
                        delta_kick_response, flat_top_quartic,
                        flatness_frequency, leakage_estimate,
                        probabilities_2state, probabilities_at,
-                       probabilities_cosine_form, probabilities_nstate_sym,
-                       trajectory, trajectory_to_csv)
+                       probabilities_nstate_sym, trajectory,
+                       trajectory_to_csv)
 from .control import (ControlDesign, design_3state, design_nstate,
                       designs_to_csv, enumerate_designs,
                       max_transfer_bound_2state, pulse_for_design,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Trajectory", "amplitudes_at", "amplitudes_many", "delta_kick_response",
     "flat_top_quartic", "flatness_frequency", "leakage_estimate",
-    "probabilities_2state", "probabilities_at", "probabilities_cosine_form",
-    "probabilities_nstate_sym", "trajectory", "trajectory_to_csv",
+    "probabilities_2state", "probabilities_at", "probabilities_nstate_sym",
+    "trajectory", "trajectory_to_csv",
     "ControlDesign", "design_3state", "design_nstate", "designs_to_csv",
     "enumerate_designs", "max_transfer_bound_2state", "pulse_for_design",
     "target_2state", "two_state_design",

@@ -13,7 +13,6 @@ matrix-vector product per requested action value.  Written around
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,8 @@ from .errors import DimensionTooSmall, DomainError, OutOfDomain
 from .pulses import action_values
 
 CLOSURE_TOL = 1e-9
+# rows per formatting block of trajectory_to_csv (8192 measured fastest)
+_CSV_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,6 @@ def probabilities_at(basis: DressedBasis, action: float) -> np.ndarray:
     if abs(total - 1.0) > CLOSURE_TOL:
         raise ArithmeticError(f"closure sum {total!r} deviates from 1")
     return p
-
-
-def probabilities_cosine_form(basis: DressedBasis, action: float,
-                              state: int) -> float:
-    """Population of ``state`` via the explicit double cosine sum.
-
-    Cross-check path: expands |sum_i m_inv[state-1, i] e^{-i z_i A}|^2 into
-    a double sum over cosine terms instead of squaring the complex value.
-    """
-    row = basis.m_inv[state - 1]
-    total = 0.0
-    for i in range(basis.n):
-        for j in range(basis.n):
-            total += row[i] * row[j] * np.cos((basis.z[i] - basis.z[j]) * action)
-    return float(total)
 
 
 def probabilities_2state(action) -> np.ndarray:
@@ -144,15 +130,22 @@ def trajectory(model: CouplingModel, basis: DressedBasis,
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Serialize a trajectory as CSV: t, per-state populations, closure."""
+    """Serialize a trajectory as CSV: t, per-state populations, closure.
+
+    The header is ``t,P1,...,Pn,closure``; every number is written as
+    ``%.17g`` (so it reads back to the same float), every line ends in
+    ``\n``, and identical input gives byte-identical output.  Rows are
+    formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` per block.
+    """
     n = traj.probabilities.shape[1]
-    buf = io.StringIO()
-    cols = ",".join(f"P{j + 1}" for j in range(n))
-    buf.write(f"t,{cols},closure\n")
-    for k in range(traj.times.size):
-        vals = [traj.times[k], *traj.probabilities[k], traj.closure[k]]
-        buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
-    return buf.getvalue()
+    row = ",".join(["%.17g"] * (n + 2)) + "\n"
+    parts = ["t," + "".join(f"P{j + 1}," for j in range(n)) + "closure\n"]
+    for lo in range(0, traj.times.size, _CSV_BLOCK_ROWS):
+        rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+        block = np.column_stack((traj.times[rows], traj.probabilities[rows],
+                                 traj.closure[rows]))
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def flat_top_quartic(omega: float, tau: float) -> float:

@@ -193,8 +193,9 @@ def cmd_flatness(args) -> int:
 
 def cmd_kick(args) -> int:
     widths = args.widths
-    if not widths:
-        raise ConfigError("need at least one width")
+    # checked before the default t0 is derived from widths[0]
+    if not widths or not all(map(math.isfinite, widths)):
+        raise ConfigError(f"widths must be one or more finite numbers, got {widths}")
     t0 = args.t0 if args.t0 is not None else max(1.0, widths[0])
     placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
     model = (standard_2state(0.0, 0.0, placeholder) if args.n == 2

@@ -11,10 +11,14 @@ regime; the production basis in ``degenpop.dressed`` does not need them.
 :func:`w_full_nstate` builds the unreduced symmetric n-state matrix that
 the reduced manifold model stands for.  :func:`two_branch_structure_check`
 is the structure check ``CouplingModel`` made before it had one rule.
+:func:`probabilities_cosine_form` expands a population into its double
+cosine sum, and :func:`trajectory_to_csv_rows` is the row-at-a-time CSV
+serializer that ``analytic.trajectory_to_csv`` must match byte for byte.
 """
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -275,3 +279,29 @@ def _assemble_3(rows: np.ndarray, z: np.ndarray):
         [x3 - x2, x1 - x3, x2 - x1],
     ]) / det
     return z, rows, m_inv
+
+
+def probabilities_cosine_form(basis, action: float, state: int) -> float:
+    """Population of ``state`` via the explicit double cosine sum.
+
+    Expands |sum_i m_inv[state-1, i] e^{-i z_i A}|^2 into a double sum over
+    cosine terms instead of squaring the complex value.
+    """
+    row = basis.m_inv[state - 1]
+    total = 0.0
+    for i in range(basis.n):
+        for j in range(basis.n):
+            total += row[i] * row[j] * np.cos((basis.z[i] - basis.z[j]) * action)
+    return float(total)
+
+
+def trajectory_to_csv_rows(traj) -> str:
+    """Serialize a trajectory as CSV one row and one number at a time."""
+    n = traj.probabilities.shape[1]
+    buf = io.StringIO()
+    cols = ",".join(f"P{j + 1}" for j in range(n))
+    buf.write(f"t,{cols},closure\n")
+    for k in range(traj.times.size):
+        vals = [traj.times[k], *traj.probabilities[k], traj.closure[k]]
+        buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+    return buf.getvalue()

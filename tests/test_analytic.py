@@ -3,16 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import probabilities_cosine_form, trajectory_to_csv_rows
 
-from degenpop.analytic import (amplitudes_at, amplitudes_many,
-                               delta_kick_response, flat_top_quartic,
-                               flatness_frequency, leakage_estimate,
-                               probabilities_2state, probabilities_at,
-                               probabilities_cosine_form,
-                               probabilities_nstate_sym, trajectory,
-                               trajectory_to_csv)
+from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_at,
+                               amplitudes_many, delta_kick_response,
+                               flat_top_quartic, flatness_frequency,
+                               leakage_estimate, probabilities_2state,
+                               probabilities_at, probabilities_nstate_sym,
+                               trajectory, trajectory_to_csv)
 from degenpop.control import design_3state, pulse_for_design
-from degenpop.coupling import standard_2state, standard_3state, symmetric_nstate
+from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
+                               symmetric_nstate)
 from degenpop.dressed import decompose_general
 from degenpop.errors import DimensionTooSmall, DomainError, OutOfDomain
 from degenpop.pulses import HarmonicPulse
@@ -230,6 +233,40 @@ def test_trajectory_csv_format():
     assert lines[0] == "t,P1,P2,closure"
     assert len(lines) == 3
     assert lines[1].startswith("0,1,")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_trajectory_csv_matches_row_oracle_across_blocks(n):
+    a = np.random.default_rng(n).uniform(-2.0, 2.0, (n, n))
+    r = a + a.T
+    model = CouplingModel(n, r, np.diag(r).copy(), np.zeros(n), PULSE)
+    basis = decompose_general(model)
+    b = _CSV_BLOCK_ROWS
+    for rows in (0, 1, b - 1, b, b + 1, 2 * b + 1):
+        traj = trajectory(model, basis, np.linspace(0.0, 7.0, rows))
+        text = trajectory_to_csv(traj)
+        assert text == trajectory_to_csv_rows(traj)
+        assert text.count("\n") == rows + 1
+
+
+FINITE = st.one_of(st.sampled_from([5e-324, -0.0, 0.1, 1.0, 1e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def trajectories(draw):
+    rows, n = draw(st.integers(0, 30)), draw(st.integers(1, 5))
+    times = np.array(draw(st.lists(FINITE, min_size=rows, max_size=rows)))
+    probs = np.array(draw(st.lists(FINITE, min_size=rows * n, max_size=rows * n)))
+    closure = np.array(draw(st.lists(FINITE, min_size=rows, max_size=rows)))
+    return Trajectory(times, np.zeros((rows, n), complex),
+                      probs.reshape(rows, n), closure)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traj=trajectories())
+def test_trajectory_csv_matches_row_oracle_on_any_floats(traj):
+    assert trajectory_to_csv(traj) == trajectory_to_csv_rows(traj)
 
 
 def test_flat_top_quartic_values():

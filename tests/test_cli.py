@@ -204,6 +204,14 @@ def test_nonfinite_kick_argument_exits_two(tmp_path, capsys, args, name):
     assert not out.exists()
 
 
+def test_nonfinite_width_error_does_not_blame_default_t0(tmp_path, capsys):
+    out = tmp_path / "kick.csv"
+    assert cli.main(["--out", str(out), "kick", "--A0", "1", "--widths", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "widths" in err and "t0" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_invalid_tolerance_exits_two(tmp_path, capsys, tol):
     config = write_config(tmp_path, mode="compare")
