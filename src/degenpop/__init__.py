@@ -24,8 +24,7 @@ from .errors import (ConfigError, DegenerateSpectrum, DegenpopError,
                      PointwiseUndefined, Unattainable, UnresolvedTimescale)
 from .numeric import compare, integrate, kick_convergence, leakage_scan
 from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
-                     SampledPulse, action_values, load_sampled_csv,
-                     pulse_from_dict, save_sampled_csv)
+                     SampledPulse, action_values, load_sampled_csv, pulse_from_dict)
 
 __version__ = "0.1.0"
 
@@ -46,5 +45,4 @@ __all__ = [
     "compare", "integrate", "kick_convergence", "leakage_scan",
     "DeltaKickPulse", "HarmonicPulse", "Pulse", "RectKickPulse",
     "SampledPulse", "action_values", "load_sampled_csv", "pulse_from_dict",
-    "save_sampled_csv",
 ]

@@ -50,8 +50,8 @@ def amplitudes_at(basis: DressedBasis, action: float) -> np.ndarray:
 
 def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     """Bare amplitudes at many action values; rows index the actions."""
-    actions = np.asarray(actions, dtype=float)
-    phases = np.exp(-1j * np.outer(actions, basis.z))
+    actions = np.asarray(actions, dtype=float).ravel()
+    phases = np.exp(-1j * (actions[:, None] * basis.z))
     phases -= 1.0
     amps = phases @ basis.m_inv.T
     amps[:, 0] += 1.0
@@ -85,9 +85,10 @@ def probabilities_2state(action) -> np.ndarray:
 
 
 def probabilities_nstate_sym(n: int, theta) -> np.ndarray:
-    """Reduced symmetric-model populations as functions of the phase angle.
+    """Populations of the n-state star model at phase angle theta = 2 sqrt(2 (n-2)) A.
 
-    Columns are (P1, P2, P3) with P3 per single manifold state:
+    States 1 and 2 couple with strength 1 to each manifold state, to nothing else
+    (not ``symmetric_nstate`` for n >= 4).  Columns (P1, P2, P3), P3 per manifold state:
 
         P1 = (3 + cos(theta) + 4 cos(theta/2)) / 8
         P2 = (3 + cos(theta) - 4 cos(theta/2)) / 8
@@ -112,17 +113,18 @@ def trajectory(model: CouplingModel, basis: DressedBasis,
 
     The closed form holds for degenerate states only: unequal
     ``model.energies`` raise DomainError (equal ones are a global phase).
+    ``times``: a finite, non-negative, non-decreasing 1-d grid, checked here for any pulse.
     """
     energies = model.energies.tolist()
     if len(set(energies)) > 1:
         raise DomainError("closed-form propagation needs equal energies, "
                           f"got energies={energies}")
     times = np.asarray(times, dtype=float)
-    if times.size and not (times.min() >= 0.0 and times.max() < math.inf):
-        raise OutOfDomain("times must be finite and non-negative")
-    if np.any(np.diff(times) < 0.0):
-        raise OutOfDomain("times must be non-decreasing")
     actions = action_values(model.pulse, times)
+    # after a built-in pulse's own check; NaN fails every comparison, so ends suffice
+    if times.ndim != 1 or times.size and not (
+            times[0] >= 0.0 and times[-1] < math.inf and (times[1:] >= times[:-1]).all()):
+        raise OutOfDomain("times must be a finite, non-negative, non-decreasing 1-d grid")
     amps = amplitudes_many(basis, actions)
     probs = np.abs(amps) ** 2
     closure = probs @ model.closure_weights

@@ -144,8 +144,6 @@ def pulse_for_design(design: ControlDesign, omega: float) -> HarmonicPulse:
     The first action maximum of a harmonic envelope is chi/omega at the
     quarter period, so chi = |A(t0)| * omega.
     """
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
     return HarmonicPulse(chi=abs(design.action_area) * omega, omega=omega)
 
 

@@ -19,6 +19,7 @@ The weights and that matrix are built once, when the model is.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -55,13 +56,14 @@ class CouplingModel:
         r = np.array(self.r, dtype=float)
         eps = np.array(self.eps, dtype=float)
         energies = np.array(self.energies, dtype=float)
-        if not all(np.isfinite(a).all() for a in (r, eps, energies)):
+        values = r.ravel().tolist() + eps.ravel().tolist() + energies.ravel().tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("r, eps and energies must be finite")
-        if r.shape != (self.n, self.n):
-            raise ValueError("r must be n-by-n")
+        if self.n < 1 or r.shape != (self.n, self.n):
+            raise ValueError("r must be n-by-n with n >= 1")
         if eps.shape != (self.n,) or energies.shape != (self.n,):
             raise ValueError("eps and energies must have length n")
-        w = np.ones(self.n)
+        w = [1.0] * self.n
         m = self.reduced_multiplicity
         if m is not None:
             if self.n != 3:
@@ -70,30 +72,30 @@ class CouplingModel:
             if m < 2:
                 raise ValueError("reduced_multiplicity must be an integer >= 2")
             object.__setattr__(self, "reduced_multiplicity", m)
-            w[2] = m
-        wr = w[:, None] * r
-        # the shifted manifold entry rounds at the scale of its eps; an
-        # overflowing diag(w) r fails the check
-        diag_tol = _STRUCT_TOL * np.where(w > 1.0, np.maximum(1.0, np.abs(eps)), 1.0)
-        if not (np.abs(wr - wr.T).max(initial=0.0) <= _STRUCT_TOL
-                and (np.abs(np.diag(r) - eps - (w - 1.0) / w) <= diag_tol).all()):
+            w[2] = float(m)
+        # one pass over r checks the rule and builds D r D^-1 as the mean of
+        # r_ij d_i/d_j and its transpose's; the manifold entry rounds at the
+        # scale of its eps, and an overflowing w_i r_ii fails as inf - inf
+        rows, cols, d = r.tolist(), r.T.tolist(), [math.sqrt(x) for x in w]
+        s = [[0.0] * self.n for _ in w]
+        broken = False
+        for i, (row, e, wi, di) in enumerate(zip(rows, eps.tolist(), w, d)):
+            tol = _STRUCT_TOL * max(1.0, abs(e)) if wi > 1.0 else _STRUCT_TOL
+            broken |= not abs(row[i] - e - (wi - 1.0) / wi) <= tol
+            for j, r_ji in enumerate(cols[i][i:], i):
+                broken |= not abs(wi * row[j] - w[j] * r_ji) <= _STRUCT_TOL
+                s[i][j] = s[j][i] = 0.5 * (row[j] * di / d[j] + r_ji * d[j] / di)
+        if broken:
             raise ValueError("r breaks the structure rule: diag(w) r symmetric, "
                              "diag(r) = eps + (w - 1)/w")
-        d = np.sqrt(w)
-        s = r * d[:, None] / d[None, :]
-        s = 0.5 * (s + s.T)
         for name, a in (("r", r), ("eps", eps), ("energies", energies),
-                        ("closure_weights", w), ("_symmetric", s)):
+                        ("closure_weights", np.array(w)), ("_symmetric", np.array(s))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def symmetrized(self) -> np.ndarray:
-        """``D r D^-1`` with ``D = diag(sqrt(closure weights))``, real symmetric.
-
-        Rows 1-2 of the reduced form carry m on their manifold entries and
-        row 3 carries 1; D puts sqrt(m) on both sides.  The mean with the
-        transpose removes rounding.
-        """
+        """``D r D^-1`` with ``D = diag(sqrt(closure weights))``, real symmetric: rows
+        1-2 of the reduced form carry m and row 3 carries 1, D makes both sqrt(m)."""
         return self._symmetric
 
     def with_pulse(self, pulse: Pulse) -> "CouplingModel":

@@ -281,7 +281,8 @@ class SampledPulse(Pulse):
         v = np.asarray(self.values_, dtype=float)
         if t.ndim != 1 or v.shape != t.shape or t.size < 2:
             raise ValueError("need matching 1-d arrays with at least 2 samples")
-        _require_finite(samples=(t, v))
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("pulse parameters must be finite: samples")
         if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -413,15 +414,8 @@ def load_sampled_csv(path) -> SampledPulse:
     return SampledPulse(np.array(t), np.array(v))
 
 
-def save_sampled_csv(pulse: SampledPulse, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "V"])
-        for t, v in zip(pulse.times, pulse.values_):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}"])
-
-
 def _check_times(t: np.ndarray) -> np.ndarray:
+    """``t`` as floats; OutOfDomain unless every time is finite and >= 0."""
     t = np.asarray(t, dtype=float)
     if t.size and not (t.min() >= 0.0 and t.max() < math.inf):
         raise OutOfDomain("times must be finite and non-negative")
@@ -429,7 +423,13 @@ def _check_times(t: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(**params) -> None:
-    """Raises ValueError naming every parameter that is not finite."""
-    bad = [name for name, value in params.items() if not np.all(np.isfinite(value))]
+    """Raises ValueError naming every parameter that is not a finite real number."""
+    bad = []
+    for name, value in params.items():
+        try:  # a value that is not real, or an int past float range, is not finite
+            if not math.isfinite(value):
+                bad.append(name)
+        except (TypeError, OverflowError):
+            bad.append(name)
     if bad:
         raise ValueError(f"pulse parameters must be finite: {', '.join(bad)}")

@@ -157,6 +157,21 @@ def test_probabilities_nstate_sym_manifold_share_shrinks():
     assert p502[2] <= 1e-3
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+def test_probabilities_nstate_sym_matches_propagated_star_model(n):
+    # states 1 and 2 couple with strength 1 to each manifold state and to
+    # nothing else: alpha = 0, no self coupling, no coupling in the manifold
+    r = np.zeros((n, n))
+    r[:2, 2:] = r[2:, :2] = 1.0
+    model = CouplingModel(n, r, np.zeros(n), np.zeros(n), PULSE)
+    actions = np.linspace(0.0, 3.0, 301)
+    p = np.abs(amplitudes_many(decompose_general(model), actions)) ** 2
+    theta = 2.0 * math.sqrt(2.0 * (n - 2)) * actions
+    want = probabilities_nstate_sym(n, theta)
+    assert np.max(np.abs(p[:, :3] - want)) <= 1e-12
+    assert np.max(np.abs(p[:, 2:] - want[:, 2:])) <= 1e-12  # every manifold state
+
+
 def test_probabilities_nstate_sym_rejects_small_n():
     with pytest.raises(DimensionTooSmall):
         probabilities_nstate_sym(2, 1.0)
@@ -197,6 +212,37 @@ def test_trajectory_rejects_non_finite_times(times):
     model = standard_2state(0.0, 0.0, PULSE)
     with pytest.raises(OutOfDomain, match="finite"):
         trajectory(model, decompose_general(model), times)
+
+
+def test_trajectory_rejects_decreasing_times():
+    model = standard_2state(0.0, 0.0, PULSE)
+    with pytest.raises(OutOfDomain, match="non-decreasing"):
+        trajectory(model, decompose_general(model), [0.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("times", [[5.0, -1.0], [1.0, math.nan, 0.0]],
+                         ids=["negative", "nan"])
+def test_trajectory_out_of_order_and_out_of_domain_reports_the_domain(times):
+    model = standard_2state(0.0, 0.0, PULSE)
+    with pytest.raises(OutOfDomain, match="finite"):
+        trajectory(model, decompose_general(model), times)
+
+
+@pytest.mark.parametrize("times", [0.5, [[0.0, 1.0]]], ids=["scalar", "2-d"])
+def test_trajectory_rejects_a_grid_that_is_not_1d(times):
+    model = standard_2state(0.0, 0.0, PULSE)
+    with pytest.raises(OutOfDomain, match="1-d"):
+        trajectory(model, decompose_general(model), times)
+
+
+def test_trajectory_one_sample_and_repeated_times():
+    model = standard_2state(0.0, 0.0, PULSE)
+    basis = decompose_general(model)
+    grid = trajectory(model, basis, [0.0, 0.7, 0.7, 1.2])
+    one = trajectory(model, basis, [0.7])
+    assert one.probabilities.shape == (1, 2)
+    assert np.array_equal(one.probabilities[0], grid.probabilities[1])
+    assert np.array_equal(grid.probabilities[1], grid.probabilities[2])
 
 
 def test_trajectory_side_band_count_grows_with_alpha():

@@ -169,6 +169,11 @@ def test_diagonal_must_match_eps():
         CouplingModel(2, r, np.zeros(2), np.zeros(2), PULSE)
 
 
+def test_model_needs_at_least_one_state():
+    with pytest.raises(ValueError, match="n >= 1"):
+        CouplingModel(0, np.zeros((0, 0)), np.zeros(0), np.zeros(0), PULSE)
+
+
 def test_arrays_are_frozen():
     m = standard_2state(0.0, 0.0, PULSE)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from degenpop import cli
 from degenpop.analytic import trajectory
 from degenpop.coupling import CouplingModel, standard_3state, symmetric_nstate
 from degenpop.dressed import decompose_general
+from degenpop.errors import OutOfDomain
 from degenpop.numeric import integrate, resolution_bound
 from degenpop.pulses import (PULSE_KINDS, STEPS_PER_PERIOD, DeltaKickPulse,
                              HarmonicPulse, Pulse, RectKickPulse, SampledPulse,
@@ -120,6 +122,16 @@ def test_new_envelope_integrates_at_its_resolution_bound():
     traj = integrate(model, resolution_bound(model), 6.0)
     ref = trajectory(model, decompose_general(model), traj.times)
     assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) < 1e-9
+
+
+@pytest.mark.parametrize("times", [[-1.0, math.nan], [0.0, math.inf], [1.0, math.nan, 2.0],
+                                   [2.0, 1.0]], ids=["negative-nan", "inf", "nan", "decreasing"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # Sin2Pulse at inf
+def test_trajectory_checks_times_of_an_envelope_that_does_not(times):
+    # Sin2Pulse.action_values checks no times; trajectory checks them itself
+    model = standard_3state(0.3, 1.0, np.zeros(3), Sin2Pulse(1.3, 0.7))
+    with pytest.raises(OutOfDomain, match="finite, non-negative, non-decreasing"):
+        trajectory(model, decompose_general(model), times)
 
 
 def test_new_envelope_runs_from_the_cli(tmp_path, monkeypatch, capsys):

@@ -7,8 +7,7 @@ from scipy.integrate import quad
 from degenpop.errors import OutOfDomain, PointwiseUndefined, Unattainable
 from degenpop.pulses import (ACTION_SOLVE_TOL, DeltaKickPulse, HarmonicPulse,
                              RectKickPulse, SampledPulse, action_values,
-                             load_sampled_csv, pulse_from_dict,
-                             save_sampled_csv)
+                             load_sampled_csv, pulse_from_dict)
 
 
 def test_harmonic_envelope_at_zero():
@@ -69,6 +68,29 @@ def test_rect_width_must_be_positive():
 def test_rect_support_must_be_nonnegative():
     with pytest.raises(ValueError):
         RectKickPulse(area=1.0, center=0.01, width=0.1)
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda: HarmonicPulse(10 ** 400, 1.0), "chi"),
+    (lambda: HarmonicPulse("1", 1.0), "chi"),
+    (lambda: HarmonicPulse(1.0, math.nan), "omega"),
+    (lambda: HarmonicPulse(1j, None), "chi, omega"),
+    (lambda: DeltaKickPulse(-math.inf, 1.0), "A0"),
+    (lambda: RectKickPulse(1.0, 10 ** 400, 0.1), "t0"),
+    (lambda: RectKickPulse(math.nan, 1.0, math.inf), "A0, width"),
+    (lambda: SampledPulse(np.array([0.0, 1.0]), np.array([0.0, math.nan])), "samples"),
+], ids=["huge-int", "string", "nan", "complex-and-none", "-inf", "huge-int-center",
+        "two-names", "sampled"])
+def test_non_finite_pulse_parameters_are_named(make, names):
+    # a ValueError naming the fields, never numpy's TypeError or an OverflowError
+    with pytest.raises(ValueError, match=f"^pulse parameters must be finite: {names}$"):
+        make()
+
+
+def test_finite_parameters_of_any_real_type_accepted():
+    assert HarmonicPulse(10 ** 300, 1).chi == 10 ** 300
+    assert HarmonicPulse(np.float64(2.0), np.int64(3)).period == 2.0 * math.pi / 3.0
+    assert RectKickPulse(True, 1.0, 0.5).height == 2.0
 
 
 def test_harmonic_action_quarter_period():
@@ -241,12 +263,13 @@ def test_action_nondecreasing_where_envelope_nonnegative():
 
 
 def test_sampled_csv_roundtrip(tmp_path):
-    p = SampledPulse(np.array([0.0, 0.5, 1.5]), np.array([0.0, 2.0, 1.0]))
+    p = SampledPulse(np.array([0.0, 0.1, 1.5]), np.array([0.0, 2.0, 1.0 / 3.0]))
     path = tmp_path / "pulse.csv"
-    save_sampled_csv(p, path)
+    rows = "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(p.times, p.values_))
+    path.write_text("t,V\n" + rows)
     q = load_sampled_csv(path)
-    assert np.allclose(q.times, p.times, atol=0)
-    assert np.allclose(q.values_, p.values_, atol=0)
+    assert q.times.tobytes() == p.times.tobytes()
+    assert q.values_.tobytes() == p.values_.tobytes()
 
 
 def test_sampled_csv_requires_header(tmp_path):
