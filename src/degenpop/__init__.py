@@ -1,20 +1,18 @@
 """Coherent population transfer in degenerate few-state systems.
 
-Closed-form dressed-state propagation, complete-transfer design rules,
-a reference unitary integrator for the non-degenerate equations, and a
-CLI front end.
+Exact propagation in the eigenbasis of the shared strength matrix,
+complete-transfer designs as one record (the action A(t0) and the
+coupling ratios), a reference unitary integrator for the non-degenerate
+equations, and a CLI front end.  The paper's closed-form populations
+are test oracles, not part of the package.
 """
 
-from .analytic import (Trajectory, amplitudes_at, amplitudes_many,
-                       delta_kick_response, flat_top_quartic,
-                       flatness_frequency, leakage_estimate,
-                       probabilities_2state, probabilities_at,
-                       probabilities_nstate_sym, trajectory,
-                       trajectory_to_csv)
-from .control import (ControlDesign, design_3state, design_nstate,
-                      designs_to_csv, enumerate_designs,
-                      max_transfer_bound_2state, pulse_for_design,
-                      target_2state, two_state_design)
+from .analytic import (Trajectory, amplitudes_many, delta_kick_response,
+                       flat_top_quartic, flatness_frequency, leakage_estimate,
+                       probabilities_at, trajectory, trajectory_to_csv)
+from .control import (ControlDesign, design_3state, design_nstate, designs_to_csv,
+                      enumerate_designs, max_transfer_bound_2state,
+                      pulse_for_design, target_2state)
 from .coupling import (CouplingModel, standard_2state, standard_3state,
                        symmetric_nstate)
 from .dressed import DressedBasis, decompose_general, eigen_residual
@@ -29,13 +27,12 @@ from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Trajectory", "amplitudes_at", "amplitudes_many", "delta_kick_response",
-    "flat_top_quartic", "flatness_frequency", "leakage_estimate",
-    "probabilities_2state", "probabilities_at", "probabilities_nstate_sym",
-    "trajectory", "trajectory_to_csv",
+    "Trajectory", "amplitudes_many", "delta_kick_response", "flat_top_quartic",
+    "flatness_frequency", "leakage_estimate", "probabilities_at", "trajectory",
+    "trajectory_to_csv",
     "ControlDesign", "design_3state", "design_nstate", "designs_to_csv",
     "enumerate_designs", "max_transfer_bound_2state", "pulse_for_design",
-    "target_2state", "two_state_design",
+    "target_2state",
     "CouplingModel", "standard_2state", "standard_3state", "symmetric_nstate",
     "DressedBasis", "decompose_general", "eigen_residual",
     "ConfigError", "DegenerateSpectrum", "DegenpopError", "DimensionTooSmall",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import CouplingModel
 from .dressed import DressedBasis
-from .errors import DimensionTooSmall, DomainError, OutOfDomain
+from .errors import DomainError, OutOfDomain
 from .pulses import action_values
 
 CLOSURE_TOL = 1e-9
@@ -43,11 +43,6 @@ class Trajectory:
     closure: np.ndarray
 
 
-def amplitudes_at(basis: DressedBasis, action: float) -> np.ndarray:
-    """Bare amplitudes at a single action value, starting from state 1."""
-    return amplitudes_many(basis, np.array([float(action)]))[0]
-
-
 def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     """Bare amplitudes at many action values; rows index the actions."""
     actions = np.asarray(actions, dtype=float).ravel()
@@ -63,48 +58,14 @@ def probabilities_at(basis: DressedBasis, action: float) -> np.ndarray:
 
     The populations weighted by the basis's closure weights
     ``basis.scale**2`` must sum to 1 within CLOSURE_TOL, else
-    ArithmeticError.
+    ArithmeticError.  :func:`trajectory` reports its closure sums instead
+    of checking them.
     """
-    p = np.abs(amplitudes_at(basis, action)) ** 2
+    p = np.abs(amplitudes_many(basis, [float(action)])[0]) ** 2
     total = float(basis.scale ** 2 @ p)
     if abs(total - 1.0) > CLOSURE_TOL:
         raise ArithmeticError(f"closure sum {total!r} deviates from 1")
     return p
-
-
-def probabilities_2state(action) -> np.ndarray:
-    """Equal-diagonal two-state populations at given action(s).
-
-    With both diagonal strengths equal the populations are
-    (cos^2 A, sin^2 A): the common diagonal is a global phase.
-    """
-    a = np.atleast_1d(np.asarray(action, dtype=float))
-    p2 = np.sin(a) ** 2
-    out = np.stack([1.0 - p2, p2], axis=-1)
-    return out[0] if np.asarray(action).ndim == 0 else out
-
-
-def probabilities_nstate_sym(n: int, theta) -> np.ndarray:
-    """Populations of the n-state star model at phase angle theta = 2 sqrt(2 (n-2)) A.
-
-    States 1 and 2 couple with strength 1 to each manifold state, to nothing else
-    (not ``symmetric_nstate`` for n >= 4).  Columns (P1, P2, P3), P3 per manifold state:
-
-        P1 = (3 + cos(theta) + 4 cos(theta/2)) / 8
-        P2 = (3 + cos(theta) - 4 cos(theta/2)) / 8
-        P3 = sin^2(theta/2) / (2 (n - 2))
-
-    so that P1 + P2 + (n-2) P3 = 1 identically.
-    """
-    if n < 3:
-        raise DimensionTooSmall("need n >= 3")
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    c, ch = np.cos(th), np.cos(0.5 * th)
-    p1 = (3.0 + c + 4.0 * ch) / 8.0
-    p2 = (3.0 + c - 4.0 * ch) / 8.0
-    p3 = np.sin(0.5 * th) ** 2 / (2.0 * (n - 2))
-    out = np.stack([p1, p2, p3], axis=-1)
-    return out[0] if np.asarray(theta).ndim == 0 else out
 
 
 def trajectory(model: CouplingModel, basis: DressedBasis,

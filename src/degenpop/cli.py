@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["three-state", "n-state", "two-state"])
     p.add_argument("--n1", type=int)
     p.add_argument("--n2", type=int)
-    p.add_argument("--sign", type=int, default=1, choices=[1, -1])
+    p.add_argument("--sign", type=int, choices=[1, -1], help="three-state branch (default 1)")
     p.add_argument("--n", type=int)
     p.add_argument("--n0", type=int)
     p.add_argument("--v", type=float, help="two-state target amplitude")
@@ -151,18 +151,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_design(args) -> int:
-    need = {"three-state": ("n1", "n2"), "n-state": ("n", "n0"), "two-state": ("v",)}
-    missing = [f"--{name}" for name in need[args.family] if getattr(args, name) is None]
+    # each family's flags, all but --sign required; another family's flag is an error
+    flags = {"three-state": ("n1", "n2", "sign"), "n-state": ("n", "n0"), "two-state": ("v",)}
+    own = flags.pop(args.family)
+    missing = [f"--{name}" for name in own if name != "sign" and getattr(args, name) is None]
     if missing:
         raise ConfigError(f"{args.family} design needs {' and '.join(missing)}")
+    foreign = [f"--{name}" for names in flags.values() for name in names
+               if getattr(args, name) is not None]
+    if foreign:
+        raise ConfigError(f"{args.family} design takes no {' or '.join(foreign)}")
+    if args.family == "two-state":
+        print(f"A_t0={control.target_2state(args.v):.3f}")
+        return 0
     if args.family == "three-state":
-        d = control.design_3state(args.n1, args.n2, args.sign)
-    elif args.family == "n-state":
-        d = control.design_nstate(args.n, args.n0)
+        d = control.design_3state(args.n1, args.n2, args.sign or 1)
     else:
-        d = control.two_state_design(args.v)
-    shape = "" if d.alpha is None else f" alpha={d.alpha:.3f} beta={d.beta:g}"
-    print(f"A_t0={d.action_area:.3f}{shape}")
+        d = control.design_nstate(args.n, args.n0)
+    print(f"A_t0={d.action_area:.3f} alpha={d.alpha:.3f} beta={d.beta:g}")
     return 0
 
 

@@ -1,49 +1,35 @@
 """Complete-transfer design rules and two-state targeting.
 
 Transfer to state 2 is exact only at quantized combinations of the
-accumulated action and the coupling-strength ratios.  For the three-state
-model the allowed designs are indexed by a pair of odd integers
-(n1, n2); for the reduced symmetric n-state model by a single odd
-integer n0.  Both families fix beta = 1 and derive alpha and the target
-action A(t0) from the integers.
+accumulated action and the coupling-strength ratios.  Every design is one
+record: the target action A(t0), alpha, and beta = 1.  Three-state designs
+are indexed by a pair of odd integers (n1, n2), which the record keeps;
+reduced symmetric n-state designs by a single odd integer n0.  Two-state
+transfer needs no ratio, only the action of :func:`target_2state`.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 from .errors import DimensionTooSmall, DomainError, InvalidQuantumNumbers
 from .pulses import HarmonicPulse
 
-THREE_STATE = "three_state"
-N_STATE_SYM = "n_state_sym"
-TWO_STATE = "two_state"
-
 
 @dataclass(frozen=True)
 class ControlDesign:
-    """One complete-transfer parameter set.
+    """One complete-transfer parameter set: the action A(t0) and the ratios.
 
-    Fields not applicable to a family are None: three-state designs
-    carry (n1, n2) and the derived odd pair (n_o, n_o_prime) with even
-    sum n_e; symmetric n-state designs carry (n, n0); two-state targets
-    carry only the action.
+    ``beta`` is always 1.  ``n1`` and ``n2`` are the quantum numbers of a
+    three-state design, None for a symmetric n-state design.
     """
 
-    family: str
     action_area: float
-    alpha: float | None = None
-    beta: float | None = None
-    sign: int = 1
+    alpha: float
+    beta: float = 1.0
     n1: int | None = None
     n2: int | None = None
-    n_o: int | None = None
-    n_o_prime: int | None = None
-    n_e: int | None = None
-    n: int | None = None
-    n0: int | None = None
 
 
 def design_3state(n1: int, n2: int, sign: int = 1) -> ControlDesign:
@@ -63,19 +49,20 @@ def design_3state(n1: int, n2: int, sign: int = 1) -> ControlDesign:
     for v in (n1, n2):
         if not isinstance(v, int) or v < 1 or v % 2 == 0:
             raise InvalidQuantumNumbers("n1 and n2 must be positive odd integers")
-    if (2 * n1 - n2) % 3 != 0:
-        raise InvalidQuantumNumbers(f"({n1}, {n2}) admits no odd decomposition")
-    n_o = (2 * n1 - n2) // 3
-    n_o_prime = (2 * n2 - n1) // 3
-    if n_o % 2 == 0 or n_o_prime % 2 == 0:
-        raise InvalidQuantumNumbers(f"({n1}, {n2}) decomposes to even integers")
+    _odd_pair(n1, n2)
     area = sign * math.sqrt(n1 * n2 / 2.0) * math.pi / 3.0
     alpha = sign * math.sqrt(2.0 / (n1 * n2)) * (n1 - n2)
-    return ControlDesign(
-        family=THREE_STATE, action_area=area, alpha=alpha, beta=1.0,
-        sign=sign, n1=n1, n2=n2, n_o=n_o, n_o_prime=n_o_prime,
-        n_e=n_o + n_o_prime,
-    )
+    return ControlDesign(area, alpha, n1=n1, n2=n2)
+
+
+def _odd_pair(n1: int, n2: int) -> tuple[int, int]:
+    """The odd integers (n_o, n_o') with n1 = 2 n_o + n_o' and n2 = n_o + 2 n_o'."""
+    if (2 * n1 - n2) % 3 != 0:
+        raise InvalidQuantumNumbers(f"({n1}, {n2}) admits no odd decomposition")
+    n_o, n_o_prime = (2 * n1 - n2) // 3, (2 * n2 - n1) // 3
+    if n_o % 2 == 0 or n_o_prime % 2 == 0:
+        raise InvalidQuantumNumbers(f"({n1}, {n2}) decomposes to even integers")
+    return n_o, n_o_prime
 
 
 def enumerate_designs(max_product: int) -> list[ControlDesign]:
@@ -114,10 +101,7 @@ def design_nstate(n: int, n0: int) -> ControlDesign:
     m = n - 2
     s = (n - 3) / m
     area = n0 * math.pi * math.sqrt(9.0 / (18.0 * m + 4.0 * s * s))
-    return ControlDesign(
-        family=N_STATE_SYM, action_area=area, alpha=(3 - n) / (3.0 * m),
-        beta=1.0, sign=1 if n0 > 0 else -1, n=n, n0=n0,
-    )
+    return ControlDesign(area, (3 - n) / (3.0 * m))
 
 
 def target_2state(v: float) -> float:
@@ -125,11 +109,6 @@ def target_2state(v: float) -> float:
     if not 0.0 <= v <= 1.0:
         raise DomainError("target amplitude must lie in [0, 1]")
     return math.asin(v)
-
-
-def two_state_design(v: float) -> ControlDesign:
-    """Two-state design reaching transfer amplitude v at the action peak."""
-    return ControlDesign(family=TWO_STATE, action_area=target_2state(v))
 
 
 def max_transfer_bound_2state(eps1: float, eps2: float) -> float:
@@ -148,14 +127,14 @@ def pulse_for_design(design: ControlDesign, omega: float) -> HarmonicPulse:
 
 
 def designs_to_csv(designs: list[ControlDesign]) -> str:
-    """Tabulate three-state designs: quantum numbers plus (A(t0), alpha).
+    """Tabulate three-state designs: (n1, n2), their odd pair, A(t0) and alpha.
 
     Action and alpha are printed at 3 decimals, matching the precision
     the design tables are usually quoted at.
     """
-    buf = io.StringIO()
-    buf.write("n1n2,n1,n2,ne,no,noprime,A_t0,alpha\n")
+    rows = ["n1n2,n1,n2,ne,no,noprime,A_t0,alpha\n"]
     for d in designs:
-        buf.write(f"{d.n1 * d.n2},{d.n1},{d.n2},{d.n_e},{d.n_o},"
-                  f"{d.n_o_prime},{d.action_area:.3f},{d.alpha:.3f}\n")
-    return buf.getvalue()
+        n_o, n_o_prime = _odd_pair(d.n1, d.n2)
+        rows.append(f"{d.n1 * d.n2},{d.n1},{d.n2},{n_o + n_o_prime},{n_o},"
+                    f"{n_o_prime},{d.action_area:.3f},{d.alpha:.3f}\n")
+    return "".join(rows)

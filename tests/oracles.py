@@ -9,8 +9,11 @@ non-zero leading component, so these oracles raise
 regime; the production basis in ``degenpop.dressed`` does not need them.
 
 :func:`w_full_nstate` builds the unreduced symmetric n-state matrix that
-the reduced manifold model stands for.  :func:`two_branch_structure_check`
-is the structure check ``CouplingModel`` made before it had one rule.
+the reduced manifold model stands for.  :func:`probabilities_2state` and
+:func:`probabilities_nstate_sym` are the closed-form populations of the
+equal-diagonal two-state model and of the n-state star model.
+:func:`two_branch_structure_check` is the structure check
+``CouplingModel`` made before it had one rule.
 :func:`probabilities_cosine_form` expands a population into its double
 cosine sum, and :func:`trajectory_to_csv_rows` is the row-at-a-time CSV
 serializer that ``analytic.trajectory_to_csv`` must match byte for byte.
@@ -51,6 +54,41 @@ def w_full_nstate(n: int, alpha: float, eps: float = 0.0) -> np.ndarray:
     w[0, 1] = w[1, 0] = alpha
     np.fill_diagonal(w, eps)
     return w
+
+
+def probabilities_2state(action) -> np.ndarray:
+    """Equal-diagonal two-state populations at given action(s).
+
+    With both diagonal strengths equal the populations are
+    (cos^2 A, sin^2 A): the common diagonal is a global phase.
+    """
+    a = np.atleast_1d(np.asarray(action, dtype=float))
+    p2 = np.sin(a) ** 2
+    out = np.stack([1.0 - p2, p2], axis=-1)
+    return out[0] if np.asarray(action).ndim == 0 else out
+
+
+def probabilities_nstate_sym(n: int, theta) -> np.ndarray:
+    """Populations of the n-state star model at phase angle theta = 2 sqrt(2 (n-2)) A.
+
+    States 1 and 2 couple with strength 1 to each manifold state, to nothing else
+    (not ``symmetric_nstate`` for n >= 4).  Columns (P1, P2, P3), P3 per manifold state:
+
+        P1 = (3 + cos(theta) + 4 cos(theta/2)) / 8
+        P2 = (3 + cos(theta) - 4 cos(theta/2)) / 8
+        P3 = sin^2(theta/2) / (2 (n - 2))
+
+    so that P1 + P2 + (n-2) P3 = 1 identically.
+    """
+    if n < 3:
+        raise DimensionTooSmall("need n >= 3")
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    c, ch = np.cos(th), np.cos(0.5 * th)
+    p1 = (3.0 + c + 4.0 * ch) / 8.0
+    p2 = (3.0 + c - 4.0 * ch) / 8.0
+    p3 = np.sin(0.5 * th) ** 2 / (2.0 * (n - 2))
+    out = np.stack([p1, p2, p3], axis=-1)
+    return out[0] if np.asarray(theta).ndim == 0 else out
 
 
 def two_branch_structure_check(n: int, r: np.ndarray, eps: np.ndarray,

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import probabilities_cosine_form, trajectory_to_csv_rows
+from oracles import (probabilities_2state, probabilities_cosine_form,
+                     probabilities_nstate_sym, trajectory_to_csv_rows)
+from scipy.linalg import expm
 
-from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_at,
-                               amplitudes_many, delta_kick_response,
-                               flat_top_quartic, flatness_frequency,
-                               leakage_estimate, probabilities_2state,
-                               probabilities_at, probabilities_nstate_sym,
-                               trajectory, trajectory_to_csv)
+from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_many,
+                               delta_kick_response, flat_top_quartic,
+                               flatness_frequency, leakage_estimate,
+                               probabilities_at, trajectory, trajectory_to_csv)
 from degenpop.control import design_3state, pulse_for_design
 from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)
@@ -40,7 +40,7 @@ def test_amplitudes_start_in_state_one():
     for basis in (basis_2state(0.0, 0.3),
                   basis_3state(0.2, 1.0, [0.0, 0.1, -0.1]),
                   basis_nstate(6, -1.0, 0.0)):
-        a = amplitudes_at(basis, 0.0)
+        a = amplitudes_many(basis, [0.0])[0]
         e1 = np.zeros(basis.n, dtype=complex)
         e1[0] = 1.0
         assert np.allclose(a, e1, atol=1e-12)
@@ -48,24 +48,25 @@ def test_amplitudes_start_in_state_one():
 
 def test_amplitudes_2state_quarter_turn():
     b = basis_2state(0.0, 0.0)
-    a = amplitudes_at(b, 0.5 * math.pi)
+    a = amplitudes_many(b, [0.5 * math.pi])[0]
     assert np.allclose(a, [0.0, -1.0j], atol=1e-12)
 
 
 def test_amplitudes_3state_complete_transfer():
     b = basis_3state(0.0, 1.0, [0.0, 0.0, 0.0])
-    a = amplitudes_at(b, math.pi / SQRT2)
+    a = amplitudes_many(b, [math.pi / SQRT2])[0]
     assert abs(abs(a[1]) - 1.0) < 1e-12
     assert abs(a[0]) < 1e-12
     assert abs(a[2]) < 1e-12
 
 
-def test_amplitudes_many_matches_single():
-    b = basis_3state(0.4, 0.9, [0.0, 0.2, -0.1])
+def test_amplitudes_many_matches_expm():
+    w = np.array([[0.0, 0.4, 0.9], [0.4, 0.2, 1.0], [0.9, 1.0, -0.1]])
+    b = basis_3state(0.4, 0.9, np.diag(w))
     actions = np.linspace(0.0, 5.0, 23)
     many = amplitudes_many(b, actions)
     for k, a in enumerate(actions):
-        assert np.allclose(many[k], amplitudes_at(b, float(a)), atol=1e-13)
+        assert np.max(np.abs(many[k] - expm(-1j * a * w)[:, 0])) <= 1e-13
 
 
 def test_probabilities_at_zero_action():
@@ -107,6 +108,12 @@ def test_cosine_form_matches_squared_amplitudes():
                 q = probabilities_cosine_form(b, float(action), state)
                 assert abs(p[state - 1] - q) <= 1e-12
             probes += 5
+
+
+def test_probabilities_2state_matches_propagation():
+    actions = np.linspace(0.0, 3.0 * math.pi, 301)
+    p = np.abs(amplitudes_many(basis_2state(0.0, 0.0), actions)) ** 2
+    assert np.max(np.abs(p - probabilities_2state(actions))) <= 1e-12
 
 
 def test_probabilities_2state_values():

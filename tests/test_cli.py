@@ -372,18 +372,47 @@ def test_unrepresentable_state_count_exits_two(tmp_path, capsys):
     (["design", "two-state", "--v", "1"], "A_t0=1.571\n"),
     (["design", "three-state", "--n1", "1", "--n2", "5"],
      "A_t0=1.656 alpha=-2.530 beta=1\n"),
+    (["design", "n-state", "--n", "4", "--n0", "-1"], "A_t0=-1.549 alpha=-0.167 beta=1\n"),
 ])
 def test_one_line_subcommands_print_their_result(capsys, argv, expected):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
 
 
+# every byte of `table --max-product 30`
+TABLE_30 = """\
+n1n2,n1,n2,ne,no,noprime,A_t0,alpha
+5,1,5,2,-1,3,1.656,-2.530
+5,5,1,2,3,-1,1.656,2.530
+9,3,3,2,1,1,2.221,0.000
+11,1,11,4,-3,7,2.456,-4.264
+11,11,1,4,7,-3,2.456,4.264
+17,1,17,6,-5,11,3.053,-5.488
+17,17,1,6,11,-5,3.053,5.488
+23,1,23,8,-7,15,3.551,-6.487
+23,23,1,8,15,-7,3.551,6.487
+27,3,9,4,-1,5,3.848,-1.633
+27,9,3,4,5,-1,3.848,1.633
+29,1,29,10,-9,19,3.988,-7.353
+29,29,1,10,19,-9,3.988,7.353
+"""
+
+
 def test_table_prints_thirteen_designs(capsys):
     assert cli.main(["table", "--max-product", "30"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert rows[0] == "n1n2,n1,n2,ne,no,noprime,A_t0,alpha"
-    assert len(rows) == 1 + 13
-    assert rows[1] == "5,1,5,2,-1,3,1.656,-2.530"
+    assert capsys.readouterr().out == TABLE_30
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["n-state", "--n", "4", "--n0", "1", "--n1", "3"], "--n1"),
+    (["two-state", "--v", "1", "--sign", "-1"], "--sign"),
+    (["three-state", "--n1", "1", "--n2", "5", "--v", "0.3"], "--v"),
+    (["three-state", "--n1", "1", "--n2", "5", "--n", "4"], "--n"),
+], ids=["n1-to-n-state", "sign-to-two-state", "v-to-three-state", "n-to-three-state"])
+def test_design_rejects_a_flag_of_another_family(capsys, argv, flag):
+    assert cli.main(["design", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(f"takes no {flag}")
 
 
 def test_design_nstate_below_three_states_exits_two(capsys):

@@ -7,9 +7,10 @@ from scipy.linalg import expm
 
 from degenpop.analytic import amplitudes_many
 from degenpop.control import (design_3state, design_nstate, enumerate_designs,
-                              max_transfer_bound_2state)
+                              max_transfer_bound_2state, target_2state)
 from degenpop.coupling import standard_2state
 from degenpop.dressed import decompose_general
+from degenpop.errors import DomainError
 from degenpop.pulses import HarmonicPulse
 
 
@@ -29,9 +30,10 @@ def test_three_state_designs_reach_full_transfer(sign):
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-@pytest.mark.parametrize("n0", [1, 3, 5, 7])
+@pytest.mark.parametrize("n0", [1, 3, 5, 7, -1, -3])
 def test_nstate_designs_reach_full_transfer(n, n0):
     d = design_nstate(n, n0)
+    assert (d.action_area < 0) == (n0 < 0)
     assert abs(transferred(w_full_nstate(n, d.alpha), d.action_area) - 1.0) < 1e-12
 
 
@@ -39,6 +41,19 @@ def test_nstate_design_at_three_states():
     d = design_nstate(3, 1)
     assert d.alpha == 0.0 and not math.copysign(1.0, d.alpha) < 0
     assert d.action_area == pytest.approx(math.pi / math.sqrt(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0])
+def test_target_2state_reaches_the_population(v):
+    basis = decompose_general(standard_2state(0.0, 0.0, HarmonicPulse(1.0, 1.0)))
+    p2 = abs(amplitudes_many(basis, [target_2state(v)])[0, 1]) ** 2
+    assert abs(p2 - v * v) <= 1e-14
+
+
+@pytest.mark.parametrize("v", [-0.1, 1.5, math.nan, math.inf])
+def test_target_2state_rejects_amplitudes_outside_the_unit_interval(v):
+    with pytest.raises(DomainError):
+        target_2state(v)
 
 
 @pytest.mark.parametrize("eps1, eps2", [(0.0, 0.5), (0.3, -0.4), (1.0, 3.0), (-2.0, 2.0)])
