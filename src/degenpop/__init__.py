@@ -9,7 +9,8 @@ are test oracles, not part of the package.
 
 from .analytic import (Trajectory, amplitudes_many, delta_kick_response,
                        flat_top_quartic, flatness_frequency, leakage_estimate,
-                       probabilities_at, trajectory, trajectory_to_csv)
+                       probabilities_at, trajectory, trajectory_to_csv,
+                       write_csv)
 from .control import (ControlDesign, design_3state, design_nstate, designs_to_csv,
                       enumerate_designs, max_transfer_bound_2state,
                       pulse_for_design, target_2state)
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Trajectory", "amplitudes_many", "delta_kick_response", "flat_top_quartic",
     "flatness_frequency", "leakage_estimate", "probabilities_at", "trajectory",
-    "trajectory_to_csv",
+    "trajectory_to_csv", "write_csv",
     "ControlDesign", "design_3state", "design_nstate", "designs_to_csv",
     "enumerate_designs", "max_transfer_bound_2state", "pulse_for_design",
     "target_2state",

@@ -39,7 +39,8 @@ _OUTPUT_KEYS = {"path", "format"}
 # each section's keys; the pulse's are narrowed to its kind's own later
 _SECTIONS = {"model": _MODEL_KEYS, "run": _RUN_KEYS, "output": _OUTPUT_KEYS,
              "pulse": {"kind"}.union(*(cls.schema for cls in PULSE_KINDS.values()))}
-# most rows a run may hold: each costs a few hundred bytes in memory
+# most rows a run may hold: each costs its trajectory arrays in memory
+# (~144 B at n = 3); the CSV is written a block at a time
 _MAX_ROWS = 10 ** 7
 
 
@@ -131,12 +132,13 @@ def cmd_simulate(args) -> int:
             ref = analytic.trajectory(degenerate, decompose_general(model), traj.times)
             max_dev = numeric.compare(traj, ref)
 
+    out_path = args.out or run["path"]
     if run["format"] == "csv":
-        text = analytic.trajectory_to_csv(traj)
+        with open(out_path, "w", newline="") as fh:
+            analytic.write_csv(traj, fh)
     else:
-        text = json.dumps({"t": traj.times.tolist(), "P": traj.probabilities.tolist(),
-                           "closure": traj.closure.tolist()}, sort_keys=True)
-    _emit(text, args.out or run["path"])
+        _emit(json.dumps({"t": traj.times.tolist(), "P": traj.probabilities.tolist(),
+                          "closure": traj.closure.tolist()}, sort_keys=True), out_path)
     t_ref = model.pulse.reference_time(float(traj.times[-1]))
     idx = int(np.argmin(np.abs(traj.times - t_ref)))
     summary = {"t0": traj.times[idx], "P2(t0)": traj.probabilities[idx, 1],
@@ -182,6 +184,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_leakage(args) -> int:
+    if not args.ratios:
+        raise ConfigError("--ratios must list one or more numbers")
     pulse = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
 
     def family(omega21: float) -> CouplingModel:

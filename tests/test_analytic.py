@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from scipy.linalg import expm
 from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_many,
                                delta_kick_response, flat_top_quartic,
                                flatness_frequency, leakage_estimate,
-                               probabilities_at, trajectory, trajectory_to_csv)
+                               probabilities_at, trajectory, trajectory_to_csv,
+                               write_csv)
 from degenpop.control import design_3state, pulse_for_design
 from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)
@@ -289,17 +291,41 @@ def test_trajectory_csv_format():
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_trajectory_csv_matches_row_oracle_across_blocks(n):
+def test_trajectory_csv_matches_row_oracle_across_blocks(n, tmp_path):
     a = np.random.default_rng(n).uniform(-2.0, 2.0, (n, n))
     r = a + a.T
     model = CouplingModel(n, r, np.diag(r).copy(), np.zeros(n), PULSE)
     basis = decompose_general(model)
     b = _CSV_BLOCK_ROWS
+    out = tmp_path / "traj.csv"
     for rows in (0, 1, b - 1, b, b + 1, 2 * b + 1):
         traj = trajectory(model, basis, np.linspace(0.0, 7.0, rows))
         text = trajectory_to_csv(traj)
         assert text == trajectory_to_csv_rows(traj)
         assert text.count("\n") == rows + 1
+        with open(out, "w", newline="") as fh:
+            write_csv(traj, fh)
+        assert out.read_text() == text
+        # pieces that start mid-block, and a stop past the last row
+        cuts = [0, 1, b // 2, b + 3, 2 * b + 1, 3 * b]
+        assert "".join(trajectory_to_csv(traj, lo, hi)
+                       for lo, hi in zip(cuts, cuts[1:])) == text
+
+
+def test_write_csv_holds_one_block_not_the_whole_text(tmp_path):
+    # 200 000 rows are ~19 MB of text and 35 MB to build as one string;
+    # streamed, the peak is a block's text and numbers (~2.7 MB)
+    model = standard_3state(0.3, 1.0, np.zeros(3), PULSE)
+    traj = trajectory(model, decompose_general(model), np.linspace(0.0, 6.0, 200_000))
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "dense.csv", "w", newline="") as fh:
+            write_csv(traj, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    assert (tmp_path / "dense.csv").stat().st_size > 15 * 2 ** 20
 
 
 FINITE = st.one_of(st.sampled_from([5e-324, -0.0, 0.1, 1.0, 1e308]),

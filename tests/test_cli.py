@@ -8,11 +8,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import trajectory_to_csv_rows
 
-from degenpop import cli
+from degenpop import analytic, cli
+from degenpop.dressed import decompose_general
 from degenpop.pulses import PULSE_KINDS
 
 
@@ -49,6 +52,31 @@ def test_leakage_exits_zero_and_repeats_bytes(tmp_path):
     lines = texts[0].decode().splitlines()
     assert lines[0] == "ratio,leakage"
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 10.0, math.inf]
+
+
+def test_empty_ratios_exit_two_and_name_the_flag(tmp_path, capsys):
+    out = tmp_path / "leakage.csv"
+    assert cli.main(["--out", str(out), "leakage", "--ratios", ","]) == 2
+    assert "--ratios" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_blank_ratio_entries_print_the_same_bytes(capsys):
+    assert cli.main(["leakage", "--ratios", "1,10"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["leakage", "--ratios", ",1,,10,"]) == 0
+    assert capsys.readouterr().out == plain
+    assert plain.startswith("ratio,leakage\n") and plain.count("\n") == 3
+
+
+def test_simulate_csv_file_is_the_row_oracle_text(tmp_path, capsys):
+    rows = 2 * analytic._CSV_BLOCK_ROWS + 1
+    config = write_config(tmp_path, mode="analytic", run={"t_end": 6.0, "samples": rows})
+    assert cli.main(["--config", str(config), "simulate"]) == 0
+    model, run = cli._validate_config(json.loads(config.read_text()))
+    traj = analytic.trajectory(model, decompose_general(model),
+                               np.linspace(0.0, run["t_end"], run["samples"]))
+    assert (tmp_path / "out.csv").read_bytes() == trajectory_to_csv_rows(traj).encode()
 
 
 def test_kick_exits_zero_and_repeats_bytes(tmp_path):
