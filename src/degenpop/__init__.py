@@ -23,7 +23,7 @@ from .errors import (ConfigError, DegenerateSpectrum, DegenpopError,
                      PointwiseUndefined, Unattainable, UnresolvedTimescale)
 from .numeric import compare, integrate, kick_convergence, leakage_scan
 from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
-                     SampledPulse, action_values, load_sampled_csv, pulse_from_dict)
+                     SampledPulse, action_values, load_sampled_csv)
 
 __version__ = "0.1.0"
 
@@ -42,5 +42,5 @@ __all__ = [
     "Unattainable", "UnresolvedTimescale",
     "compare", "integrate", "kick_convergence", "leakage_scan",
     "DeltaKickPulse", "HarmonicPulse", "Pulse", "RectKickPulse",
-    "SampledPulse", "action_values", "load_sampled_csv", "pulse_from_dict",
+    "SampledPulse", "action_values", "load_sampled_csv",
 ]

@@ -108,8 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated kick widths, decreasing")
     p.add_argument("--t0", type=float, default=None, help="kick center time")
     p.add_argument("--n", type=int, default=2, choices=[2, 3])
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="1-2 coupling ratio for the 3-state kick model")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="1-2 coupling ratio for the 3-state kick model (default 0)")
     p.set_defaults(func=cmd_kick)
     return parser
 
@@ -206,10 +206,13 @@ def cmd_kick(args) -> int:
     # checked before the default t0 is derived from widths[0]
     if not widths or not all(map(math.isfinite, widths)):
         raise ConfigError(f"widths must be one or more finite numbers, got {widths}")
+    if args.n == 2 and args.alpha is not None:
+        raise ConfigError("the 2-state kick model takes no --alpha")
     t0 = args.t0 if args.t0 is not None else max(1.0, widths[0])
     placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
     model = (standard_2state(0.0, 0.0, placeholder) if args.n == 2
-             else standard_3state(args.alpha, 1.0, np.zeros(3), placeholder))
+             else standard_3state(0.0 if args.alpha is None else args.alpha, 1.0,
+                                  np.zeros(3), placeholder))
     rows = numeric.kick_convergence(model, args.a0, t0, widths)
     _emit(_csv("width,P2_final", rows), args.out)
     return 0
@@ -292,15 +295,17 @@ def _vector(sec: dict, key: str, n: int) -> np.ndarray:
 
 def _number(sec: dict, key: str, where: str, default=None, kind=float):
     """``sec[key]`` as a finite JSON number, or an integer when ``kind`` is
-    int; ``default`` when the key is absent, which is an error without one."""
+    int; ``default`` when the key is absent, which is an error without one.
+    A JSON boolean is not a number, though Python's bool is an int."""
     if key not in sec:
         if default is None:
             raise ConfigError(f"{where}.{key} is required")
         return default
     value = sec[key]
-    if kind is int and not isinstance(value, int):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and not (number and isinstance(value, int)):
         raise ConfigError(f"{where}.{key} must be an integer")
-    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+    if not (number and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{where}.{key} must be a finite number")
     return kind(value)
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 import numpy as np
 
 from .errors import DimensionTooSmall
-from .pulses import Pulse, pulse_from_dict
+from .pulses import Pulse
 
 _STRUCT_TOL = 1e-12
 # past 2**53 floats skip integers, so a larger state count has no exact weight
@@ -103,31 +102,6 @@ class CouplingModel:
 
     def with_energies(self, energies) -> "CouplingModel":
         return replace(self, energies=np.asarray(energies, dtype=float))
-
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "n": self.n,
-            "r": [float(x) for x in self.r.ravel()],
-            "eps": [float(x) for x in self.eps],
-            "energies": [float(x) for x in self.energies],
-            "pulse": self.pulse.to_dict(),
-        }
-        if self.reduced_multiplicity is not None:
-            d["reduced_multiplicity"] = self.reduced_multiplicity
-        return d
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "CouplingModel":
-        n = int(d["n"])
-        return CouplingModel(
-            n=n,
-            r=np.array(d["r"], dtype=float).reshape(n, n),
-            eps=np.array(d["eps"], dtype=float),
-            energies=np.array(d["energies"], dtype=float),
-            pulse=pulse_from_dict(d["pulse"]),
-            reduced_multiplicity=(int(d["reduced_multiplicity"])
-                                  if "reduced_multiplicity" in d else None),
-        )
 
 
 def standard_2state(eps1: float, eps2: float, pulse: Pulse) -> CouplingModel:

@@ -3,11 +3,12 @@
 Every envelope ``V(t)`` is paired with its action ``A(t) = int_0^t V dt'``,
 which is the only quantity that enters the degenerate dynamics.  Each
 shape is one frozen dataclass deriving from :class:`Pulse`, registered in
-``PULSE_KINDS`` under its JSON ``kind``.  A new envelope sets ``kind`` and
-``schema`` and implements ``values``, ``action_values`` (in closed form),
-``peak`` and ``max_step``.  It may override ``breakpoints``,
-``reference_time`` and ``invert_action``, and overrides ``to_dict`` and
-``from_dict`` when one of its fields is not a number.
+``PULSE_KINDS`` under the ``kind`` its run configuration ``pulse`` section
+names.  A new envelope sets ``kind`` and ``schema`` and implements
+``values``, ``action_values`` (in closed form), ``peak`` and ``max_step``.
+It may override ``breakpoints``, ``reference_time`` and ``invert_action``,
+and overrides ``from_dict``, the reader of its ``pulse`` section, when one
+of its fields is not a number.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import math
 import os
 from abc import ABC, abstractmethod
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
@@ -31,8 +32,9 @@ STEPS_PER_PERIOD = 200.0
 class Pulse(ABC):
     """A drive envelope ``V(t)``, defined for ``t >= 0``, and its action."""
 
-    # the JSON tag, and the type of every other JSON key (float for a
-    # number); the base to_dict/from_dict map the keys to the fields in order
+    # the config pulse section's kind, and the type of each of its other
+    # keys (float for a number); the base from_dict maps the keys to the
+    # fields in order
     kind: ClassVar[str]
     schema: ClassVar[dict[str, type]]
     # True when V is constant between breakpoints: CF4 is exact at any
@@ -57,13 +59,10 @@ class Pulse(ABC):
     def max_step(self) -> float:
         """Longest integrator step that resolves the envelope's shape."""
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON form, read back by :func:`pulse_from_dict`."""
-        return {"kind": self.kind, **dict(zip(self.schema, astuple(self)))}
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Pulse":
-        """Inverse of :meth:`to_dict`; raises KeyError for a missing key."""
+        """The pulse a config ``pulse`` section describes; raises KeyError
+        for a missing key."""
         return cls(*(float(d[key]) for key in cls.schema))
 
     def value(self, t: float) -> float:
@@ -266,7 +265,7 @@ class SampledPulse(Pulse):
 
     Outside the sampled range the envelope is zero.  The action is the
     exact integral of the interpolant (trapezoid on each segment).  Its
-    JSON form holds either ``samples`` as ``[[t, V], ...]`` or
+    config ``pulse`` section holds either ``samples`` as ``[[t, V], ...]`` or
     ``samples_file``, the path of a CSV read by :func:`load_sampled_csv`.
     """
 
@@ -349,10 +348,6 @@ class SampledPulse(Pulse):
         s = 2.0 * rem / (v_a + sq) if v_a >= 0.0 else (sq - v_a) / slope
         return t_a + min(s, h)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind,
-                "samples": np.column_stack([self.times, self.values_]).tolist()}
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SampledPulse":
         if "samples" not in d:
@@ -360,7 +355,9 @@ class SampledPulse(Pulse):
                 raise ValueError(f"{cls.kind} pulse needs samples or samples_file")
             return load_sampled_csv(d["samples_file"])
         samples = np.asarray(d["samples"])
-        if samples.dtype.kind not in "iuf" or samples.shape[1:] != (2,):
+        # NumPy reads a boolean among numbers as 0 or 1; it is not a number
+        if (samples.dtype.kind not in "iuf" or samples.shape[1:] != (2,)
+                or any(isinstance(x, bool) for pair in d["samples"] for x in pair)):
             raise ValueError("samples must be [t, V] pairs of numbers")
         return cls(samples[:, 0], samples[:, 1])
 
@@ -368,14 +365,6 @@ class SampledPulse(Pulse):
 PULSE_KINDS: dict[str, type[Pulse]] = {
     cls.kind: cls for cls in (HarmonicPulse, DeltaKickPulse, RectKickPulse, SampledPulse)
 }
-
-
-def pulse_from_dict(d: dict[str, Any]) -> Pulse:
-    """Pulse from its JSON form; ``d["kind"]`` selects the class in ``PULSE_KINDS``."""
-    kind = d.get("kind")
-    if not isinstance(kind, str) or kind not in PULSE_KINDS:
-        raise ValueError(f"unknown pulse kind {kind!r}")
-    return PULSE_KINDS[kind].from_dict(d)
 
 
 def action_values(pulse: Pulse, t: np.ndarray) -> np.ndarray:

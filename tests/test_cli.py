@@ -199,8 +199,8 @@ def test_pulse_variant_configs_exit_zero(tmp_path, kind):
     assert cli.main(["--config", str(config), "simulate"]) == 0
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
-                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True],
+                         ids=["inf", "-inf", "nan", "true"])
 @pytest.mark.parametrize("section,key,kind", NUMERIC_KEYS,
                          ids=[f"{s}.{k}-{p}" for s, k, p in NUMERIC_KEYS])
 def test_nonfinite_config_number_exits_two(tmp_path, capsys, section, key, kind, value):
@@ -209,7 +209,7 @@ def test_nonfinite_config_number_exits_two(tmp_path, capsys, section, key, kind,
         raw["pulse"]["samples"][1][1] = value
     else:
         raw[section][key] = value
-    config.write_text(json.dumps(raw))  # writes Infinity, -Infinity, NaN
+    config.write_text(json.dumps(raw))  # writes Infinity, -Infinity, NaN, true
     assert cli.main(["--config", str(config), "simulate"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -230,6 +230,15 @@ def test_nonfinite_kick_argument_exits_two(tmp_path, capsys, args, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert not out.exists()
+
+
+def test_alpha_on_the_2state_kick_model_exits_two_and_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "kick.csv"
+    argv = ["--out", str(out), "kick", "--A0", "1", "--widths", "0.4", "--n", "2"]
+    assert cli.main([*argv, "--alpha", "0.7"]) == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv) == 0
 
 
 def test_nonfinite_width_error_does_not_blame_default_t0(tmp_path, capsys):

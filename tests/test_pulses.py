@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from degenpop.errors import OutOfDomain, PointwiseUndefined, Unattainable
 from degenpop.pulses import (ACTION_SOLVE_TOL, DeltaKickPulse, HarmonicPulse,
                              RectKickPulse, SampledPulse, action_values,
-                             load_sampled_csv, pulse_from_dict)
+                             load_sampled_csv)
 
 
 def test_harmonic_envelope_at_zero():
@@ -301,4 +301,4 @@ def test_sampled_csv_path_must_be_a_path():
 
 def test_sampled_dict_without_samples_names_both_keys():
     with pytest.raises(ValueError, match="samples or samples_file"):
-        pulse_from_dict({"kind": "custom_sampled"})
+        SampledPulse.from_dict({"kind": "custom_sampled"})
