@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .coupling import _as_count
 from .errors import DimensionTooSmall, DomainError, InvalidQuantumNumbers
 from .pulses import HarmonicPulse
 
@@ -36,19 +37,18 @@ def design_3state(n1: int, n2: int, sign: int = 1) -> ControlDesign:
     """Allowed three-state transfer design for odd quantum numbers.
 
     Valid pairs satisfy n1 = 2 n_o + n_o' and n2 = n_o + 2 n_o' for odd
-    integers n_o, n_o'; equivalently (2 n1 - n2)/3 and (2 n2 - n1)/3 are
-    odd integers.  Then
+    integers n_o, n_o'; equivalently 3 divides 2 n1 - n2 (see :func:`_odd_pair`).  Then
 
         A(t0) = sign * sqrt(n1 n2 / 2) * pi / 3
         alpha = sign * sqrt(2 / (n1 n2)) * (n1 - n2)
 
-    and beta = 1.
+    and beta = 1.  DomainError for a non-integer n1 or n2, or one above 2**53.
     """
     if sign not in (1, -1):
         raise InvalidQuantumNumbers("sign must be +1 or -1")
-    for v in (n1, n2):
-        if not isinstance(v, int) or v < 1 or v % 2 == 0:
-            raise InvalidQuantumNumbers("n1 and n2 must be positive odd integers")
+    n1, n2 = _as_count(n1, "n1"), _as_count(n2, "n2")
+    if n1 < 1 or n2 < 1 or n1 % 2 == 0 or n2 % 2 == 0:
+        raise InvalidQuantumNumbers("n1 and n2 must be positive odd integers")
     _odd_pair(n1, n2)
     area = sign * math.sqrt(n1 * n2 / 2.0) * math.pi / 3.0
     alpha = sign * math.sqrt(2.0 / (n1 * n2)) * (n1 - n2)
@@ -56,13 +56,11 @@ def design_3state(n1: int, n2: int, sign: int = 1) -> ControlDesign:
 
 
 def _odd_pair(n1: int, n2: int) -> tuple[int, int]:
-    """The odd integers (n_o, n_o') with n1 = 2 n_o + n_o' and n2 = n_o + 2 n_o'."""
+    """The integers (n_o, n_o') with n1 = 2 n_o + n_o' and n2 = n_o + 2 n_o'; for odd
+    n1 and n2 they are odd, as n_o' = n1 - 2 n_o and n_o = n2 - 2 n_o' are."""
     if (2 * n1 - n2) % 3 != 0:
         raise InvalidQuantumNumbers(f"({n1}, {n2}) admits no odd decomposition")
-    n_o, n_o_prime = (2 * n1 - n2) // 3, (2 * n2 - n1) // 3
-    if n_o % 2 == 0 or n_o_prime % 2 == 0:
-        raise InvalidQuantumNumbers(f"({n1}, {n2}) decomposes to even integers")
-    return n_o, n_o_prime
+    return (2 * n1 - n2) // 3, (2 * n2 - n1) // 3
 
 
 def enumerate_designs(max_product: int) -> list[ControlDesign]:
@@ -90,14 +88,14 @@ def design_nstate(n: int, n0: int) -> ControlDesign:
         alpha = -(n-3) / (3 (n-2)) = -s/3
 
     and beta = 1.  At n = 3 this is alpha = 0, A(t0) = n0 pi / sqrt(2).
-    Raises DomainError for n or |n0| above 2**53.
+    DomainError for a non-integer n or n0, or n or |n0| above 2**53: the
+    rule of n1 and n2 in :func:`design_3state` and of every model's n.
     """
+    n, n0 = _as_count(n, "n"), _as_count(n0, "n0")
     if n < 3:
         raise DimensionTooSmall("need n >= 3")
-    if not isinstance(n0, int) or n0 % 2 == 0:
+    if n0 % 2 == 0:
         raise InvalidQuantumNumbers("n0 must be an odd integer")
-    if n > 2 ** 53 or abs(n0) > 2 ** 53:
-        raise DomainError("n and |n0| must be at most 2**53")
     m = n - 2
     s = (n - 3) / m
     area = n0 * math.pi * math.sqrt(9.0 / (18.0 * m + 4.0 * s * s))

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionTooSmall
+from .errors import DimensionTooSmall, DomainError
 from .pulses import Pulse
 
 _STRUCT_TOL = 1e-12
-# past 2**53 floats skip integers, so a larger state count has no exact weight
+# past 2**53 floats skip integers, so a larger count has no exact float value
 _MAX_COUNT = 2 ** 53
 
 
@@ -152,13 +152,13 @@ def symmetric_nstate(n: int, alpha: float, eps: float, pulse: Pulse) -> Coupling
 
 
 def _as_count(value, name: str) -> int:
-    """``value`` of any integer type as an int; raises ValueError for a
-    non-integer or for a count above 2**53."""
+    """``value`` of any integer type as an int, the one check of every count and
+    quantum number; DomainError for a non-integer or ``abs(value)`` above 2**53."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, "
-                         f"not {type(value).__name__}") from None
-    if count > _MAX_COUNT:
-        raise ValueError(f"{name} must be at most 2**53")
+        raise DomainError(f"{name} must be an integer, "
+                          f"not {type(value).__name__}") from None
+    if abs(count) > _MAX_COUNT:
+        raise DomainError(f"{name} must be at most 2**53 in absolute value")
     return count

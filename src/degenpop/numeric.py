@@ -33,6 +33,7 @@ import numpy as np
 
 from .analytic import Trajectory
 from .coupling import CouplingModel
+from .dressed import decompose_general
 from .errors import DomainError, GridMismatch, UnresolvedTimescale
 from .pulses import STEPS_PER_PERIOD, HarmonicPulse, RectKickPulse
 
@@ -52,14 +53,15 @@ def resolution_bound(model: CouplingModel) -> float:
     The step must resolve the envelope's own shape (its ``max_step``).
     CF4 is exact at any step on a piecewise-constant envelope, so that is
     the whole bound there; any other step must also resolve the fastest
-    dressed phase at peak envelope, 1/200 of its period.  Raises
-    PointwiseUndefined for a pulse without a pointwise envelope.
+    dressed phase, ``max|z|`` of :func:`decompose_general` times the peak
+    envelope, 1/200 of its period.  Raises PointwiseUndefined for a pulse
+    without a pointwise envelope.
     """
     pulse = model.pulse
     bound = pulse.max_step
     if pulse.piecewise_constant:
         return bound
-    rate = _spectral_radius(model) * pulse.peak
+    rate = float(np.max(np.abs(decompose_general(model).z))) * pulse.peak
     if rate > 0:
         bound = min(bound, 2.0 * math.pi / rate / STEPS_PER_PERIOD)
     return bound
@@ -219,7 +221,3 @@ def _prefix_states(steps, b):
         entering[j] = b
         b = u[j, -1] @ b
     return (u @ entering[:, None, :, None]).reshape(-1, n)[:total]
-
-
-def _spectral_radius(model: CouplingModel) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(model.symmetrized()))))

@@ -249,8 +249,7 @@ class RectKickPulse(Pulse):
 
     def action_values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
-        return np.clip((t - self.left) * self.height, 0.0, self.area) if self.area >= 0 \
-            else np.clip((t - self.left) * self.height, self.area, 0.0)
+        return np.clip((t - self.left) * self.height, min(0.0, self.area), max(0.0, self.area))
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.left, self.right)
@@ -289,6 +288,8 @@ class SampledPulse(Pulse):
         # cumulative integral of the interpolant from the first sample
         cums = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
         object.__setattr__(self, "_cums", cums)
+        # the lead-in I(0) that every action value subtracts
+        object.__setattr__(self, "_lead_in", float(self._integral_from_first_sample(0.0)))
 
     @property
     def peak(self) -> float:
@@ -314,9 +315,7 @@ class SampledPulse(Pulse):
 
     def action_values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
-        return self._integral_from_first_sample(t) - self._integral_from_first_sample(
-            np.zeros_like(t)
-        )
+        return self._integral_from_first_sample(t) - self._lead_in
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self.times)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from oracles import trajectory_to_csv_rows
 
 from degenpop import analytic, cli
+from degenpop.coupling import standard_2state, symmetric_nstate
 from degenpop.dressed import decompose_general
-from degenpop.pulses import PULSE_KINDS
+from degenpop.pulses import PULSE_KINDS, HarmonicPulse
 
 
 def write_config(tmp_path, mode="numeric", energies=0, **extra):
@@ -463,3 +464,71 @@ def test_design_nstate_huge_integer_exits_two(capsys, n, n0):
     assert cli.main(["design", "n-state", "--n", str(n), f"--n0={n0}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "2**53" in err
+
+
+@pytest.mark.parametrize("n1,n2", [(10 ** 400 + 1, 10 ** 400 + 3), (2 ** 53 + 1, 2 ** 53 + 1)],
+                         ids=["1e400", "2**53+1"])
+def test_design_3state_huge_integer_exits_two_and_names_n1(capsys, n1, n2):
+    assert cli.main(["design", "three-state", "--n1", str(n1), "--n2", str(n2)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: n1 ") and "2**53" in err
+
+
+def library_trajectory(model, t_end, samples):
+    return analytic.trajectory(model, decompose_general(model),
+                               np.linspace(0.0, t_end, samples))
+
+
+def test_json_output_is_the_library_trajectory_and_repeats_bytes(tmp_path, capsys):
+    config = write_config(tmp_path, mode="analytic", run={"t_end": 3.0, "samples": 37},
+                          output={"path": str(tmp_path / "out.json"), "format": "json"})
+    codes, texts = run_twice(["--config", str(config), "simulate"], tmp_path / "out.json")
+    assert codes == [0, 0] and texts[0] == texts[1]
+    doc = json.loads(texts[0])
+    assert list(doc) == ["P", "closure", "t"]
+    assert len(doc["t"]) == len(doc["P"]) == len(doc["closure"]) == 37
+    model, run = cli._validate_config(json.loads(config.read_text()))
+    traj = library_trajectory(model, run["t_end"], run["samples"])
+    assert doc["t"] == traj.times.tolist()
+    assert doc["P"] == traj.probabilities.tolist()
+    assert doc["closure"] == traj.closure.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_simulate_2state_and_nstate_configs_are_the_library_models(tmp_path, capsys, n):
+    model_section = ({"n": 2, "eps": [0.1, -0.2]} if n == 2
+                     else {"n": 6, "alpha": -0.2, "beta": 1.0, "eps": 0.1})
+    config = write_config(tmp_path, mode="analytic", run={"t_end": 4.0, "samples": 101})
+    raw = json.loads(config.read_text())
+    raw["model"] = model_section
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 0
+    pulse = HarmonicPulse(chi=1.0, omega=1.0)
+    model = (standard_2state(0.1, -0.2, pulse) if n == 2
+             else symmetric_nstate(6, -0.2, 0.1, pulse))
+    traj = library_trajectory(model, 4.0, 101)
+    assert (tmp_path / "out.csv").read_text() == trajectory_to_csv_rows(traj)
+    assert traj.probabilities.shape == (101, 2 if n == 2 else 3)
+
+
+@pytest.mark.parametrize("run,key", [
+    ({"mode": "analytic", "samples": 0}, "run.samples"),
+    ({"mode": "analytic", "samples": cli._MAX_ROWS + 1}, "run.samples"),
+    ({"mode": "numeric", "t_end": 1.0, "dt": 0.99e-7}, "run.t_end/run.dt"),
+], ids=["samples-0", "samples-past-max", "steps-past-max"])
+def test_too_many_rows_exit_two_and_name_the_key(tmp_path, capsys, run, key):
+    config = write_config(tmp_path, run=run)
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and str(cli._MAX_ROWS) in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, OverflowError, ZeroDivisionError])
+def test_arithmetic_error_in_a_command_exits_three(monkeypatch, capsys, error):
+    def fail(*args):
+        raise error("no finite result")
+
+    monkeypatch.setattr(cli.analytic, "flatness_frequency", fail)
+    assert cli.main(["flatness", "--pcr", "1", "--ts", "1"]) == 3
+    assert capsys.readouterr() == ("", "error: no finite result\n")

@@ -6,11 +6,11 @@ from oracles import w_full_nstate
 from scipy.linalg import expm
 
 from degenpop.analytic import amplitudes_many
-from degenpop.control import (design_3state, design_nstate, enumerate_designs,
+from degenpop.control import (_odd_pair, design_3state, design_nstate, enumerate_designs,
                               max_transfer_bound_2state, target_2state)
 from degenpop.coupling import standard_2state
 from degenpop.dressed import decompose_general
-from degenpop.errors import DomainError
+from degenpop.errors import DimensionTooSmall, DomainError, InvalidQuantumNumbers
 from degenpop.pulses import HarmonicPulse
 
 
@@ -67,3 +67,69 @@ def test_two_state_bound_is_reached_and_never_exceeded(eps1, eps2):
     assert abs(bound - peak) <= 1e-12
     dense = np.abs(amplitudes_many(basis, np.linspace(0.0, 4.0 * math.pi, 20001))[:, 1]) ** 2
     assert dense.max() <= bound + 1e-12
+
+
+@pytest.mark.parametrize("n1, n2, sign, match", [
+    (1, 5, 0, "sign"), (1, 5, 2, "sign"), (1, 5, None, "sign"),
+    (2, 5, 1, "odd"), (1, 4, 1, "odd"), (-1, 5, 1, "odd"), (-5, -1, 1, "odd"),
+    (1, 3, 1, "no odd decomposition"), (3, 5, 1, "no odd decomposition"),
+], ids=["sign-0", "sign-2", "sign-none", "n1-even", "n2-even", "n1-negative",
+        "both-negative", "1-3", "3-5"])
+def test_design_3state_rejects_invalid_quantum_numbers(n1, n2, sign, match):
+    with pytest.raises(InvalidQuantumNumbers, match=match):
+        design_3state(n1, n2, sign)
+
+
+@pytest.mark.parametrize("n1, n2, name", [
+    (1.0, 5, "n1"), (1, 5.0, "n2"), ("1", 5, "n1"), (2 ** 53 + 2, 2 ** 53 + 2, "n1"),
+    (2 ** 53 + 1, 2 ** 53 + 1, "n1"), (1, 10 ** 400 + 3, "n2"),
+], ids=["n1-float", "n2-float", "n1-str", "2**53+2", "2**53+1", "n2-1e400"])
+def test_design_3state_rejects_a_non_integer_or_huge_quantum_number(n1, n2, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        design_3state(n1, n2)
+
+
+def test_design_3state_accepts_quantum_numbers_up_to_2_to_the_53():
+    n = 2 ** 53 - 5  # odd, and 3 divides 2n - n
+    d = design_3state(n, n)
+    assert (d.n1, d.n2, d.alpha) == (n, n, 0.0)
+    assert d.action_area == math.sqrt(n * n / 2.0) * math.pi / 3.0
+
+
+@pytest.mark.parametrize("n, n0, error", [
+    (4, 2, InvalidQuantumNumbers), (4, 0, InvalidQuantumNumbers),
+    (4, -2, InvalidQuantumNumbers), (2, 1, DimensionTooSmall),
+    (4.5, 1, DomainError), (4.0, 1, DomainError), (4, 1.0, DomainError),
+    (2 ** 53 + 1, 1, DomainError), (4, -(2 ** 53) - 1, DomainError),
+], ids=["n0-even", "n0-zero", "n0-negative-even", "n-2", "n-4.5", "n-4.0",
+        "n0-float", "n-2**53+1", "n0-below-minus-2**53"])
+def test_design_nstate_rejects_invalid_arguments(n, n0, error):
+    with pytest.raises(error):
+        design_nstate(n, n0)
+
+
+def test_design_nstate_accepts_integers_up_to_2_to_the_53():
+    assert design_nstate(2 ** 53, -(2 ** 53) + 1).action_area < 0
+
+
+@pytest.mark.parametrize("to_int", [np.int64, np.int32, np.uint16],
+                         ids=["int64", "int32", "uint16"])
+def test_numpy_integers_give_the_same_design_as_ints(to_int):
+    for n1, n2 in [(1, 5), (5, 1), (3, 9), (29, 1)]:
+        d = design_3state(to_int(n1), to_int(n2))
+        assert d == design_3state(n1, n2)
+        assert type(d.n1) is int and type(d.n2) is int
+    for n, n0 in [(3, 1), (4, 3), (12, 7)]:
+        assert design_nstate(to_int(n), to_int(n0)) == design_nstate(n, n0)
+
+
+def test_every_integer_decomposition_of_odd_numbers_is_odd():
+    for n1 in range(1, 301, 2):
+        for n2 in range(1, 301, 2):
+            if (2 * n1 - n2) % 3 == 0:
+                n_o, n_o_prime = _odd_pair(n1, n2)
+                assert n_o % 2 == n_o_prime % 2 == 1
+                assert (2 * n_o + n_o_prime, n_o + 2 * n_o_prime) == (n1, n2)
+            else:
+                with pytest.raises(InvalidQuantumNumbers):
+                    _odd_pair(n1, n2)

@@ -102,6 +102,20 @@ def test_rect_kick_is_exact():
         assert np.max(np.abs(traj.amplitudes[-1] - expm(-1j * a0 * model.r)[:, 0])) < 1e-12
 
 
+@pytest.mark.parametrize("model", [
+    standard_2state(0.3, -1.2, HarmonicPulse(chi=4.0, omega=0.5)),
+    standard_3state(-2.5, 1.0, [0.4, 0.0, -0.7], HarmonicPulse(chi=-6.0, omega=1.0)),
+    symmetric_nstate(7, 0.2, 0.1, SampledPulse(np.array([0.0, 1.0, 2.0]),
+                                               np.array([0.0, 30.0, 0.0]))),
+], ids=["2state", "3state", "nstate-sampled"])
+def test_resolution_bound_reads_the_dressed_spectrum(model):
+    # the envelope's own step is longer here, so the fastest dressed phase sets the bound
+    z = decompose_general(model).z
+    rate = float(np.max(np.abs(z))) * model.pulse.peak
+    assert model.pulse.max_step > 2.0 * math.pi / rate / 200.0
+    assert resolution_bound(model) == 2.0 * math.pi / rate / 200.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(area=st.floats(-3.0, 3.0), width=st.floats(0.01, 1.0), gap=st.floats(0.0, 2.0),
        tail=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0),

@@ -124,6 +124,23 @@ def test_rect_kick_action_ramp():
     assert p.action(3.0) == 2.0
 
 
+def test_rect_kick_of_negative_area_mirrors_the_positive_ramp():
+    t = np.linspace(0.0, 2.0, 101)
+    up, down = RectKickPulse(2.0, 1.0, 0.5), RectKickPulse(-2.0, 1.0, 0.5)
+    assert np.array_equal(down.action_values(t), -up.action_values(t))
+    assert down.action(0.0) == 0.0 and down.action(2.0) == -2.0
+
+
+@pytest.mark.parametrize("start", [-1.0, -0.25, 0.0, 0.5])
+def test_sampled_action_subtracts_the_lead_in_bit_exactly(start):
+    times = np.array([start, 0.6, 1.1, 2.0, 3.0])
+    p = SampledPulse(times, np.array([0.3, 0.9, -0.2, 0.4, 0.0]))
+    t = np.linspace(0.0, 3.5, 71)
+    lead_in = p._integral_from_first_sample(np.zeros_like(t))
+    assert np.array_equal(p.action_values(t), p._integral_from_first_sample(t) - lead_in)
+    assert p.action(0.0) == 0.0
+
+
 def test_sampled_action_matches_trapezoid():
     t = np.array([0.0, 1.0, 2.0, 4.0])
     v = np.array([0.0, 2.0, 2.0, 0.0])
