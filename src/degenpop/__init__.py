@@ -7,13 +7,11 @@ equations, and a CLI front end.  The paper's closed-form populations
 are test oracles, not part of the package.
 """
 
-from .analytic import (Trajectory, amplitudes_many, delta_kick_response,
-                       flat_top_quartic, flatness_frequency, leakage_estimate,
-                       probabilities_at, trajectory, trajectory_to_csv,
-                       write_csv)
+from .analytic import (Trajectory, amplitudes_many, flatness_frequency,
+                       leakage_estimate, probabilities_at, trajectory,
+                       trajectory_to_csv, write_csv)
 from .control import (ControlDesign, design_3state, design_nstate, designs_to_csv,
-                      enumerate_designs, max_transfer_bound_2state,
-                      pulse_for_design, target_2state)
+                      enumerate_designs, pulse_for_design, target_2state)
 from .coupling import (CouplingModel, standard_2state, standard_3state,
                        symmetric_nstate)
 from .dressed import DressedBasis, decompose_general, eigen_residual
@@ -28,12 +26,10 @@ from .pulses import (DeltaKickPulse, HarmonicPulse, Pulse, RectKickPulse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Trajectory", "amplitudes_many", "delta_kick_response", "flat_top_quartic",
-    "flatness_frequency", "leakage_estimate", "probabilities_at", "trajectory",
-    "trajectory_to_csv", "write_csv",
+    "Trajectory", "amplitudes_many", "flatness_frequency", "leakage_estimate",
+    "probabilities_at", "trajectory", "trajectory_to_csv", "write_csv",
     "ControlDesign", "design_3state", "design_nstate", "designs_to_csv",
-    "enumerate_designs", "max_transfer_bound_2state", "pulse_for_design",
-    "target_2state",
+    "enumerate_designs", "pulse_for_design", "target_2state",
     "CouplingModel", "standard_2state", "standard_3state", "symmetric_nstate",
     "DressedBasis", "decompose_general", "eigen_residual",
     "ConfigError", "DegenerateSpectrum", "DegenpopError", "DimensionTooSmall",

@@ -1,4 +1,4 @@
-"""Closed-form propagation in the dressed basis, and related formulas.
+"""Closed-form propagation in the dressed basis, its CSV, and two scan formulas.
 
 The whole time dependence enters through the envelope action A(t).
 Starting from state 1 the bare amplitudes at action A are
@@ -122,17 +122,6 @@ def write_csv(traj: Trajectory, fh) -> None:
         fh.write(trajectory_to_csv(traj, lo, lo + _CSV_BLOCK_ROWS))
 
 
-def flat_top_quartic(omega: float, tau: float) -> float:
-    """Quartic approximation to the transfer dip near a harmonic peak.
-
-    At ``tau`` past the quarter period the exact transferred population is
-    ``sin^2((pi/2) cos(omega tau))``; expanding in ``u = omega tau`` gives
-    ``1 - (pi^2/16) u^4``.
-    """
-    u = omega * tau
-    return 1.0 - (np.pi ** 2 / 16.0) * u ** 4
-
-
 def leakage_estimate(omega21: float, omega: float) -> float:
     """Order-of-magnitude bound on the off-resonant population loss.
 
@@ -150,10 +139,12 @@ def flatness_frequency(p_cr: float, t_s: float) -> float:
     """Carrier frequency keeping the transfer dip below ``p_cr`` over a
     hold window of half-width ``t_s``.
 
-    Inverts the quartic dip formula at the window edge:
-    ``omega t_s = (16 p_cr / pi^2)^(1/4) = sqrt(4/pi) p_cr^(1/4)``.
-    ``p_cr = 1`` is the degenerate bound where the dip reaches the full
-    population.
+    Inverts the quartic dip ``(pi^2/16) (omega t_s)^4`` of a harmonic transfer
+    at ``t_s`` past its quarter period (the Taylor form of the exact dip, kept
+    as a test oracle in ``tests/oracles.py``):
+    ``omega t_s = (16 p_cr / pi^2)^(1/4) = sqrt(4/pi) p_cr^(1/4)``.  The exact
+    dip there is ``p_cr`` less about ``(2/(3 pi)) p_cr^1.5``.  ``p_cr = 1`` is
+    the degenerate bound where the dip reaches the full population.
     """
     if not 0.0 < p_cr <= 1.0:
         raise DomainError("p_cr must lie in (0, 1]")
@@ -161,14 +152,3 @@ def flatness_frequency(p_cr: float, t_s: float) -> float:
         raise DomainError("t_s must be positive and finite")
     return math.sqrt(4.0 / np.pi) * p_cr ** 0.25 / t_s
 
-
-def delta_kick_response(t, t0: float) -> np.ndarray:
-    """Two-state populations under an instantaneous quarter-cycle kick.
-
-    The kick carries action pi/2, so transfer is complete and immediate:
-    (1, 0) before the kick time, (0, 1) from it on (right-continuous).
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    after = (t_arr >= t0).astype(float)
-    out = np.stack([1.0 - after, after], axis=-1)
-    return out[0] if np.asarray(t).ndim == 0 else out

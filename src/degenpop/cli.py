@@ -39,8 +39,8 @@ _OUTPUT_KEYS = {"path", "format"}
 # each section's keys; the pulse's are narrowed to its kind's own later
 _SECTIONS = {"model": _MODEL_KEYS, "run": _RUN_KEYS, "output": _OUTPUT_KEYS,
              "pulse": {"kind"}.union(*(cls.schema for cls in PULSE_KINDS.values()))}
-# most rows a run may hold: each costs its trajectory arrays in memory
-# (~144 B at n = 3); the CSV is written a block at a time
+# most rows a run or a kick width may hold: each costs its trajectory arrays
+# in memory (~144 B at n = 3); the CSV is written a block at a time
 _MAX_ROWS = 10 ** 7
 
 
@@ -210,6 +210,11 @@ def cmd_kick(args) -> int:
         raise ConfigError("the 2-state kick model takes no --alpha")
     t0 = args.t0 if args.t0 is not None else max(1.0, widths[0])
     placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
+    # a width w takes about (t0 + w/2)/w steps; w <= 0 is kick_convergence's error
+    smallest = min(widths)
+    if smallest > 0 and (t0 + 0.5 * smallest) / smallest > _MAX_ROWS:
+        raise ConfigError(f"--widths: a kick of width {smallest:g} at t0={t0:g} "
+                          f"takes more than {_MAX_ROWS} steps")
     model = (standard_2state(0.0, 0.0, placeholder) if args.n == 2
              else standard_3state(0.0 if args.alpha is None else args.alpha, 1.0,
                                   np.zeros(3), placeholder))

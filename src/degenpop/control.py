@@ -66,15 +66,13 @@ def _odd_pair(n1: int, n2: int) -> tuple[int, int]:
 def enumerate_designs(max_product: int) -> list[ControlDesign]:
     """All positive-branch three-state designs with n1*n2 <= max_product.
 
+    For odd n1 the valid n2 (odd, 3 | 2 n1 - n2) are one residue class
+    mod 6, that of 2 n1 + 3, so :func:`design_3state` sees valid pairs only.
     Sorted by (n1*n2, n1).  Empty below the smallest product 5.
     """
-    out = []
-    for n1 in range(1, max_product + 1, 2):
-        for n2 in range(1, max_product // n1 + 1, 2):
-            try:
-                out.append(design_3state(n1, n2, 1))
-            except InvalidQuantumNumbers:
-                continue
+    out = [design_3state(n1, n2, 1)
+           for n1 in range(1, max_product + 1, 2)
+           for n2 in range((2 * n1 + 3) % 6, max_product // n1 + 1, 6)]
     out.sort(key=lambda d: (d.n1 * d.n2, d.n1))
     return out
 
@@ -107,12 +105,6 @@ def target_2state(v: float) -> float:
     if not 0.0 <= v <= 1.0:
         raise DomainError("target amplitude must lie in [0, 1]")
     return math.asin(v)
-
-
-def max_transfer_bound_2state(eps1: float, eps2: float) -> float:
-    """Ceiling on two-state transfer with unequal diagonal strengths."""
-    d = 0.5 * (eps2 - eps1)
-    return 1.0 / (1.0 + d * d)
 
 
 def pulse_for_design(design: ControlDesign, omega: float) -> HarmonicPulse:

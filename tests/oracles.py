@@ -11,7 +11,14 @@ regime; the production basis in ``degenpop.dressed`` does not need them.
 :func:`w_full_nstate` builds the unreduced symmetric n-state matrix that
 the reduced manifold model stands for.  :func:`probabilities_2state` and
 :func:`probabilities_nstate_sym` are the closed-form populations of the
-equal-diagonal two-state model and of the n-state star model.
+equal-diagonal two-state model and of the n-state star model, and
+:func:`delta_kick_response` those of the two-state model under a quarter-cycle
+delta kick.  :func:`flat_top_quartic` is the Taylor form of the harmonic
+transfer dip that ``analytic.flatness_frequency`` inverts, and
+:func:`max_transfer_bound_2state` the ceiling on two-state transfer with
+unequal diagonal strengths.  Each is pinned to propagation by the package.
+:func:`enumerate_designs_by_trial` finds the three-state designs by trying
+every odd pair, the loop that ``control.enumerate_designs`` must match.
 :func:`two_branch_structure_check` is the structure check
 ``CouplingModel`` made before it had one rule.
 :func:`probabilities_cosine_form` expands a population into its double
@@ -26,7 +33,9 @@ import math
 
 import numpy as np
 
-from degenpop.errors import DegenerateSpectrum, DimensionTooSmall, FirstComponentZero
+from degenpop.control import design_3state
+from degenpop.errors import (DegenerateSpectrum, DimensionTooSmall, FirstComponentZero,
+                             InvalidQuantumNumbers)
 
 _STRUCT_TOL = 1e-12
 _DISTINCT_TOL = 1e-9
@@ -89,6 +98,52 @@ def probabilities_nstate_sym(n: int, theta) -> np.ndarray:
     p3 = np.sin(0.5 * th) ** 2 / (2.0 * (n - 2))
     out = np.stack([p1, p2, p3], axis=-1)
     return out[0] if np.asarray(theta).ndim == 0 else out
+
+
+def delta_kick_response(t, t0: float) -> np.ndarray:
+    """Two-state populations under an instantaneous quarter-cycle kick.
+
+    The kick carries action pi/2, so transfer is complete and immediate:
+    (1, 0) before the kick time, (0, 1) from it on (right-continuous).
+    """
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    after = (t_arr >= t0).astype(float)
+    out = np.stack([1.0 - after, after], axis=-1)
+    return out[0] if np.asarray(t).ndim == 0 else out
+
+
+def flat_top_quartic(omega: float, tau: float) -> float:
+    """Quartic approximation to the transfer dip near a harmonic peak.
+
+    At ``tau`` past the quarter period the exact transferred population is
+    ``sin^2((pi/2) cos(omega tau))``; expanding in ``u = omega tau`` gives
+    ``1 - (pi^2/16) u^4``, below the exact value by about pi^2 u^6/96.
+    """
+    u = omega * tau
+    return 1.0 - (np.pi ** 2 / 16.0) * u ** 4
+
+
+def max_transfer_bound_2state(eps1: float, eps2: float) -> float:
+    """Ceiling on two-state transfer with unequal diagonal strengths."""
+    d = 0.5 * (eps2 - eps1)
+    return 1.0 / (1.0 + d * d)
+
+
+def enumerate_designs_by_trial(max_product: int) -> list:
+    """Three-state designs with n1*n2 <= max_product, found by trying
+    ``design_3state`` on every odd pair and dropping the pairs it rejects.
+
+    Sorted by (n1*n2, n1), as ``control.enumerate_designs`` must be.
+    """
+    out = []
+    for n1 in range(1, max_product + 1, 2):
+        for n2 in range(1, max_product // n1 + 1, 2):
+            try:
+                out.append(design_3state(n1, n2, 1))
+            except InvalidQuantumNumbers:
+                continue
+    out.sort(key=lambda d: (d.n1 * d.n2, d.n1))
+    return out
 
 
 def two_branch_structure_check(n: int, r: np.ndarray, eps: np.ndarray,

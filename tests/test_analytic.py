@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (probabilities_2state, probabilities_cosine_form,
-                     probabilities_nstate_sym, trajectory_to_csv_rows)
+from oracles import (delta_kick_response, flat_top_quartic, probabilities_2state,
+                     probabilities_cosine_form, probabilities_nstate_sym,
+                     trajectory_to_csv_rows)
 from scipy.linalg import expm
 
 from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_many,
-                               delta_kick_response, flat_top_quartic,
                                flatness_frequency, leakage_estimate,
                                probabilities_at, trajectory, trajectory_to_csv,
                                write_csv)
@@ -20,7 +20,7 @@ from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)
 from degenpop.dressed import decompose_general
 from degenpop.errors import DimensionTooSmall, DomainError, OutOfDomain
-from degenpop.pulses import HarmonicPulse
+from degenpop.pulses import DeltaKickPulse, HarmonicPulse
 
 SQRT2 = math.sqrt(2.0)
 PULSE = HarmonicPulse(chi=1.0, omega=1.0)
@@ -393,3 +393,36 @@ def test_delta_kick_response_step():
     assert np.allclose(delta_kick_response(1.5, 1.0), [0.0, 1.0], atol=0)
     arr = delta_kick_response(np.array([0.0, 0.999, 1.0, 2.0]), 1.0)
     assert np.array_equal(arr[:, 1], [0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("t0", [0.3, 1.0, 2.5])
+def test_delta_kick_response_is_the_propagated_kick(t0):
+    model = standard_2state(0.0, 0.0, DeltaKickPulse(0.5 * math.pi, t0))
+    times = np.array([0.0, 0.5 * t0, np.nextafter(t0, 0.0), t0,
+                      np.nextafter(t0, math.inf), 1.5 * t0, 3.0 * t0])
+    probs = trajectory(model, decompose_general(model), times).probabilities
+    assert np.max(np.abs(probs - delta_kick_response(times, t0))) <= 1e-15
+
+
+def harmonic_dip_p2(omega, tau):
+    """Propagated P2 at ``tau`` past the quarter period of a full harmonic transfer."""
+    pulse = HarmonicPulse(chi=0.5 * math.pi * omega, omega=omega)
+    model = standard_2state(0.0, 0.0, pulse)
+    return trajectory(model, decompose_general(model),
+                      [pulse.quarter_period + tau]).probabilities[0, 1]
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+@pytest.mark.parametrize("u", [0.02, 0.1, 0.2])
+def test_flat_top_quartic_is_the_propagated_dip_to_sixth_order(omega, u):
+    # the quartic falls short of the exact P2 by pi^2 u^6/96 + O(u^8)
+    gap = harmonic_dip_p2(omega, u / omega) - flat_top_quartic(omega, u / omega)
+    assert 0.0 < gap <= 1.1 * math.pi ** 2 * u ** 6 / 96.0
+
+
+@pytest.mark.parametrize("t_s", [0.5, 1.0])
+@pytest.mark.parametrize("p_cr", [1e-6, 1e-4, 1e-2])
+def test_flatness_frequency_holds_the_propagated_dip_at_p_cr(p_cr, t_s):
+    # the dip at the window edge is p_cr - (2/(3 pi)) p_cr^1.5 + O(p_cr^2)
+    dip = 1.0 - harmonic_dip_p2(flatness_frequency(p_cr, t_s), t_s)
+    assert 0.0 < p_cr - dip <= 0.3 * p_cr ** 1.5

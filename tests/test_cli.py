@@ -160,6 +160,33 @@ def test_bad_widths_exit_two(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("widths", ["1e-9", "0.4,1e-9"])
+def test_kick_width_beyond_the_step_bound_exits_two_and_names_the_flag(tmp_path, capsys,
+                                                                        widths):
+    # integrating to t0 + 1e-9/2 in 1e-9 steps would take 10**9 steps
+    out = tmp_path / "kick.csv"
+    assert cli.main(["--out", str(out), "kick", "--A0", "1", "--widths", widths]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --widths: ") and str(cli._MAX_ROWS) in err
+    assert not out.exists()
+
+
+def test_kick_step_bound_reads_the_smallest_width(tmp_path, capsys, monkeypatch):
+    # at t0 = 1 a width w takes about (1 + w/2)/w steps: 5.5 at 0.2, 10.5 at 0.1
+    monkeypatch.setattr(cli, "_MAX_ROWS", 10)
+    argv = ["--out", str(tmp_path / "kick.csv"), "kick", "--A0", "1", "--t0", "1"]
+    assert cli.main([*argv, "--widths", "0.4,0.2"]) == 0
+    assert cli.main([*argv, "--widths", "0.4,0.2,0.1"]) == 2
+    assert "width 0.1 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths", ["0.4,0", "0.4,-1e-9"])
+def test_kick_nonpositive_width_is_the_scan_domain_error(tmp_path, capsys, widths):
+    assert cli.main(["--out", str(tmp_path / "kick.csv"), "kick", "--A0", "1",
+                     "--widths", widths]) == 2
+    assert capsys.readouterr().err == "error: widths must be positive\n"
+
+
 def test_design_nstate_prints_corrected_design(capsys):
     # n = 4: s = 1/2, A(t0) = pi sqrt(9/37) = 1.5494, alpha = -1/6
     assert cli.main(["design", "n-state", "--n", "4", "--n0", "1"]) == 0

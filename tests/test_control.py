@@ -1,13 +1,15 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
-from oracles import w_full_nstate
+from oracles import enumerate_designs_by_trial, max_transfer_bound_2state, w_full_nstate
 from scipy.linalg import expm
 
+from degenpop import control
 from degenpop.analytic import amplitudes_many
 from degenpop.control import (_odd_pair, design_3state, design_nstate, enumerate_designs,
-                              max_transfer_bound_2state, target_2state)
+                              target_2state)
 from degenpop.coupling import standard_2state
 from degenpop.dressed import decompose_general
 from degenpop.errors import DimensionTooSmall, DomainError, InvalidQuantumNumbers
@@ -133,3 +135,29 @@ def test_every_integer_decomposition_of_odd_numbers_is_odd():
             else:
                 with pytest.raises(InvalidQuantumNumbers):
                     _odd_pair(n1, n2)
+
+
+def test_enumerate_designs_is_the_trial_loop_at_every_product_up_to_2000():
+    trial = enumerate_designs_by_trial(2000)
+    assert enumerate_designs(2000) == trial
+    # sorted by product, the trial loop at P is the prefix of products <= P
+    pairs = [(d.n1, d.n2) for d in trial]
+    products = [d.n1 * d.n2 for d in trial]
+    for p in range(-2, 2001):
+        got = [(d.n1, d.n2) for d in enumerate_designs(p)]
+        assert got == pairs[:bisect.bisect_right(products, p)], p
+    for p in (-1, 0, 4, 5, 9, 10, 30, 299):
+        assert enumerate_designs(p) == enumerate_designs_by_trial(p)
+
+
+@pytest.mark.parametrize("max_product", [5, 30, 200, 2000])
+def test_enumerate_designs_calls_design_3state_only_on_valid_pairs(monkeypatch, max_product):
+    calls = []
+
+    def spy(n1, n2, sign=1):
+        calls.append((n1, n2))
+        return design_3state(n1, n2, sign)
+
+    monkeypatch.setattr(control, "design_3state", spy)
+    designs = enumerate_designs(max_product)
+    assert len(calls) == len(designs) > 0

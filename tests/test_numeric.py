@@ -11,8 +11,8 @@ from degenpop import numeric
 from degenpop.analytic import trajectory
 from degenpop.coupling import standard_2state, standard_3state, symmetric_nstate
 from degenpop.dressed import decompose_general
-from degenpop.errors import DomainError, PointwiseUndefined, UnresolvedTimescale
-from degenpop.numeric import integrate, kick_convergence, leakage_scan, resolution_bound
+from degenpop.errors import DomainError, GridMismatch, PointwiseUndefined, UnresolvedTimescale
+from degenpop.numeric import compare, integrate, kick_convergence, leakage_scan, resolution_bound
 from degenpop.pulses import (DeltaKickPulse, HarmonicPulse, RectKickPulse,
                              SampledPulse)
 
@@ -259,3 +259,30 @@ def test_leakage_scan_matches_dop853():
         model = family(0.0 if math.isinf(ratio) else 1.0 / ratio)
         a2 = dop853(model, np.array([0.0, pulse.quarter_period]))[-1, 1]
         assert abs(loss - (1.0 - abs(a2) ** 2)) < 1e-11
+
+
+def compare_pair(times_b=None):
+    """A numeric and an analytic 3-state run, the second on ``times_b`` if given."""
+    model = standard_3state(0.3, 1.0, np.zeros(3), HarmonicPulse(1.0, 1.0))
+    run = integrate(model, 0.01, 1.0)
+    times = run.times if times_b is None else times_b
+    return run, trajectory(model, decompose_general(model), times)
+
+
+def test_compare_is_the_largest_population_deviation_on_a_shared_grid():
+    run, ref = compare_pair()
+    dev = compare(run, ref)
+    assert dev == float(np.max(np.abs(run.probabilities - ref.probabilities)))
+    assert 0.0 < dev < 1e-9
+    assert compare(ref, ref) == 0.0
+
+
+@pytest.mark.parametrize("regrid", [
+    lambda t: t[:-1],
+    lambda t: np.append(t[:-1], np.nextafter(t[-1], 0.0)),
+], ids=["shorter", "same-length-shifted"])
+def test_compare_rejects_a_different_time_grid(regrid):
+    run, _ = compare_pair()
+    _, ref = compare_pair(regrid(run.times))
+    with pytest.raises(GridMismatch, match="different time grids"):
+        compare(run, ref)
