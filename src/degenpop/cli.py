@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands map onto the library: ``simulate`` runs a configured model
-(analytic, numeric, or differential compare), ``design`` and ``table``
-expose the transfer design rules, and ``leakage``/``flatness``/``kick``
-run the standard scans.  All file output is plain CSV or JSON so
-external tools can plot it; identical inputs produce byte-identical
-output.
+(analytic, numeric, or differential compare), ``design three-state``,
+``design n-state`` and ``design two-state`` print one transfer design
+each and ``table`` tabulates the three-state ones, and
+``leakage``/``flatness``/``kick`` run the standard scans.  Argparse
+checks every flag.  Of the global flags, ``--out`` sends any command's
+result to a file instead of stdout (for ``simulate``, in place of the
+configured path); ``--config`` and ``--tol`` are read by ``simulate``
+only.  All file output is plain CSV or JSON so external tools can plot
+it; identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric
 failure (including a compare run exceeding its tolerance).  ``main``
@@ -66,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and design coherent population transfer in "
                     "degenerate few-state systems.")
     parser.add_argument("--config", help="path to a JSON run configuration")
-    parser.add_argument("--out", help="override the output file path")
+    parser.add_argument("--out", help="write the result to this file instead of stdout "
+                                      "(simulate: in place of output.path)")
     parser.add_argument("--tol", type=float, default=1e-6,
                         help="tolerance for compare runs (default 1e-6)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,13 +82,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("design", help="print one transfer design")
-    p.add_argument("family", choices=["three-state", "n-state", "two-state"])
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--sign", type=int, choices=[1, -1], help="three-state branch (default 1)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n0", type=int)
-    p.add_argument("--v", type=float, help="two-state target amplitude")
+    family = p.add_subparsers(dest="family", required=True)
+    f = family.add_parser("three-state", help="three states, quantum numbers n1 and n2")
+    f.add_argument("--n1", type=int, required=True)
+    f.add_argument("--n2", type=int, required=True)
+    f.add_argument("--sign", type=int, choices=[1, -1], default=1,
+                   help="branch of the design (default 1)")
+    f = family.add_parser("n-state", help="symmetric n states, quantum number n0")
+    f.add_argument("--n", type=int, required=True)
+    f.add_argument("--n0", type=int, required=True)
+    f = family.add_parser("two-state", help="two states, target amplitude v")
+    f.add_argument("--v", type=float, required=True, help="two-state target amplitude")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("table", help="tabulate three-state designs as CSV")
@@ -153,24 +162,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_design(args) -> int:
-    # each family's flags, all but --sign required; another family's flag is an error
-    flags = {"three-state": ("n1", "n2", "sign"), "n-state": ("n", "n0"), "two-state": ("v",)}
-    own = flags.pop(args.family)
-    missing = [f"--{name}" for name in own if name != "sign" and getattr(args, name) is None]
-    if missing:
-        raise ConfigError(f"{args.family} design needs {' and '.join(missing)}")
-    foreign = [f"--{name}" for names in flags.values() for name in names
-               if getattr(args, name) is not None]
-    if foreign:
-        raise ConfigError(f"{args.family} design takes no {' or '.join(foreign)}")
     if args.family == "two-state":
-        print(f"A_t0={control.target_2state(args.v):.3f}")
-        return 0
-    if args.family == "three-state":
-        d = control.design_3state(args.n1, args.n2, args.sign or 1)
+        line = f"A_t0={control.target_2state(args.v):.3f}"
     else:
-        d = control.design_nstate(args.n, args.n0)
-    print(f"A_t0={d.action_area:.3f} alpha={d.alpha:.3f} beta={d.beta:g}")
+        d = (control.design_3state(args.n1, args.n2, args.sign)
+             if args.family == "three-state" else control.design_nstate(args.n, args.n0))
+        line = f"A_t0={d.action_area:.3f} alpha={d.alpha:.3f} beta={d.beta:g}"
+    _emit(line + "\n", args.out)
     return 0
 
 
@@ -184,42 +182,34 @@ def cmd_table(args) -> int:
 
 
 def cmd_leakage(args) -> int:
-    if not args.ratios:
-        raise ConfigError("--ratios must list one or more numbers")
-    pulse = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
-
-    def family(omega21: float) -> CouplingModel:
-        return standard_2state(0.0, 0.0, pulse).with_energies([0.0, omega21])
-
-    _emit(_csv("ratio,leakage", numeric.leakage_scan(family, args.ratios)), args.out)
+    model = standard_2state(0.0, 0.0, HarmonicPulse(chi=0.5 * math.pi, omega=1.0))
+    _emit(_csv("ratio,leakage", numeric.leakage_scan(model, args.ratios)), args.out)
     return 0
 
 
 def cmd_flatness(args) -> int:
-    omega = analytic.flatness_frequency(args.pcr, args.ts)
-    print(f"omega={omega:.5f}")
+    _emit(f"omega={analytic.flatness_frequency(args.pcr, args.ts):.5f}\n", args.out)
     return 0
 
 
 def cmd_kick(args) -> int:
     widths = args.widths
-    # checked before the default t0 is derived from widths[0]
-    if not widths or not all(map(math.isfinite, widths)):
-        raise ConfigError(f"widths must be one or more finite numbers, got {widths}")
+    # checked before the default t0 and the first kick are derived from widths[0]
+    if not all(0.0 < w < math.inf for w in widths):
+        raise ConfigError(f"--widths must be finite and positive, got {widths}")
     if args.n == 2 and args.alpha is not None:
-        raise ConfigError("the 2-state kick model takes no --alpha")
+        raise ConfigError("--alpha applies to the 3-state kick model (--n 3) only")
     t0 = args.t0 if args.t0 is not None else max(1.0, widths[0])
-    placeholder = RectKickPulse(area=args.a0, center=t0, width=widths[0])
-    # a width w takes about (t0 + w/2)/w steps; w <= 0 is kick_convergence's error
+    kick = RectKickPulse(area=args.a0, center=t0, width=widths[0])
+    # a width w takes about (t0 + w/2)/w steps
     smallest = min(widths)
-    if smallest > 0 and (t0 + 0.5 * smallest) / smallest > _MAX_ROWS:
+    if (t0 + 0.5 * smallest) / smallest > _MAX_ROWS:
         raise ConfigError(f"--widths: a kick of width {smallest:g} at t0={t0:g} "
                           f"takes more than {_MAX_ROWS} steps")
-    model = (standard_2state(0.0, 0.0, placeholder) if args.n == 2
+    model = (standard_2state(0.0, 0.0, kick) if args.n == 2
              else standard_3state(0.0 if args.alpha is None else args.alpha, 1.0,
-                                  np.zeros(3), placeholder))
-    rows = numeric.kick_convergence(model, args.a0, t0, widths)
-    _emit(_csv("width,P2_final", rows), args.out)
+                                  np.zeros(3), kick))
+    _emit(_csv("width,P2_final", numeric.kick_convergence(model, widths)), args.out)
     return 0
 
 
@@ -341,9 +331,12 @@ def _emit(text: str, out_path) -> None:
 def _floats(raw: str) -> list[float]:
     """Comma-separated numbers, read as an argparse ``type``."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not values:
+        raise argparse.ArgumentTypeError("expected one or more numbers")
+    return values
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ rounding level.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -110,42 +111,44 @@ def compare(a: Trajectory, b: Trajectory) -> float:
     return float(np.max(np.abs(a.probabilities - b.probabilities)))
 
 
-def leakage_scan(model_family, ratios) -> list[tuple[float, float]]:
+def leakage_scan(model: CouplingModel, ratios) -> list[tuple[float, float]]:
     """Transfer shortfall 1 - P2 at the action peak versus splitting.
 
-    ``model_family`` maps a level splitting omega21 to a two-state model
-    driven by a harmonic pulse; ``ratios`` lists carrier-to-splitting
-    ratios omega/omega21 (math.inf selects the degenerate limit).  Each
-    entry of the result is (ratio, 1 - P2(quarter period)).  Every run
-    takes at least 500 CF4 steps up to the quarter period, which keeps
-    its error against a tight DOP853 solution below 1e-12.
+    ``model`` is a two-state model driven by a harmonic pulse; its
+    energies are replaced by ``[0, omega21]`` for each entry of
+    ``ratios``, the carrier-to-splitting ratios omega/omega21 (math.inf
+    selects the degenerate limit).  Each entry of the result is
+    (ratio, 1 - P2(quarter period)).  Every run takes at least 500 CF4
+    steps up to the quarter period, which keeps its error against a
+    tight DOP853 solution below 1e-12.
     """
-    pulse = model_family(0.0).pulse
+    pulse = model.pulse
     if not isinstance(pulse, HarmonicPulse):
         raise DomainError("leakage scan needs a harmonic pulse")
+    t0 = pulse.quarter_period
     out = []
     for ratio in ratios:
         if not ratio > 0:
             raise DomainError("ratios must be positive")
-        omega21 = 0.0 if math.isinf(ratio) else pulse.omega / ratio
-        model = model_family(omega21)
-        t0 = pulse.quarter_period
-        dt = min(resolution_bound(model), 4.0 * t0 / 2000.0)
-        traj = integrate(model, dt, t0)
+        split = model.with_energies([0.0, 0.0 if math.isinf(ratio) else pulse.omega / ratio])
+        dt = min(resolution_bound(split), 4.0 * t0 / 2000.0)
+        traj = integrate(split, dt, t0)
         out.append((float(ratio), float(1.0 - traj.probabilities[-1, 1])))
     return out
 
 
-def kick_convergence(model: CouplingModel, a0: float, t0: float,
-                     widths) -> list[tuple[float, float]]:
+def kick_convergence(model: CouplingModel, widths) -> list[tuple[float, float]]:
     """Post-kick transfer versus kick width, for rectangular kicks.
 
-    Swaps a rectangular kick of area ``a0`` centered at ``t0`` into the
-    model for each width and integrates through the kick at its
-    :func:`resolution_bound`, the width.  Every segment of a rectangular
-    kick is flat, where CF4 is exact, so the result at each width is exact
-    whatever the step.
+    ``model.pulse`` is a :class:`RectKickPulse`; its width is replaced by
+    each of ``widths``, positive and strictly decreasing, keeping its area
+    and center.  Each kicked model is integrated up to the kick's right
+    edge at its :func:`resolution_bound`, the width.  Every segment of a
+    rectangular kick is flat, where CF4 is exact, so the result at each
+    width is exact whatever the step.
     """
+    if not isinstance(model.pulse, RectKickPulse):
+        raise DomainError("kick convergence needs a rectangular kick")
     widths = [float(w) for w in widths]
     if not widths or any(w <= 0 for w in widths):
         raise DomainError("widths must be positive")
@@ -153,8 +156,8 @@ def kick_convergence(model: CouplingModel, a0: float, t0: float,
         raise DomainError("widths must be strictly decreasing")
     out = []
     for w in widths:
-        kicked = model.with_pulse(RectKickPulse(area=a0, center=t0, width=w))
-        traj = integrate(kicked, resolution_bound(kicked), t0 + 0.5 * w)
+        kicked = model.with_pulse(replace(model.pulse, width=w))
+        traj = integrate(kicked, resolution_bound(kicked), kicked.pulse.right)
         out.append((w, float(traj.probabilities[-1, 1])))
     return out
 

@@ -62,6 +62,13 @@ def test_empty_ratios_exit_two_and_name_the_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_widths_exit_two_and_name_the_flag(tmp_path, capsys):
+    out = tmp_path / "kick.csv"
+    assert cli.main(["--out", str(out), "kick", "--A0", "1", "--widths", ","]) == 2
+    assert "--widths" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_blank_ratio_entries_print_the_same_bytes(capsys):
     assert cli.main(["leakage", "--ratios", "1,10"]) == 0
     plain = capsys.readouterr().out
@@ -180,11 +187,15 @@ def test_kick_step_bound_reads_the_smallest_width(tmp_path, capsys, monkeypatch)
     assert "width 0.1 " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("widths", ["0.4,0", "0.4,-1e-9"])
-def test_kick_nonpositive_width_is_the_scan_domain_error(tmp_path, capsys, widths):
-    assert cli.main(["--out", str(tmp_path / "kick.csv"), "kick", "--A0", "1",
-                     "--widths", widths]) == 2
-    assert capsys.readouterr().err == "error: widths must be positive\n"
+@pytest.mark.parametrize("widths", ["0", "-1", "0.4,0", "0.4,-1e-9"])
+def test_kick_nonpositive_width_exits_two_with_one_message(tmp_path, capsys, widths):
+    # the first width and a later one fail alike, before any kick is built
+    out = tmp_path / "kick.csv"
+    assert cli.main(["--out", str(out), "kick", "--A0", "1", "--widths", widths]) == 2
+    parsed = [float(w) for w in widths.split(",")]
+    assert capsys.readouterr() == ("", f"error: --widths must be finite and positive, "
+                                       f"got {parsed}\n")
+    assert not out.exists()
 
 
 def test_design_nstate_prints_corrected_design(capsys):
@@ -432,16 +443,28 @@ def test_unrepresentable_state_count_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv,expected", [
+ONE_LINE_RESULTS = [
     (["flatness", "--pcr", "1", "--ts", "1"], "omega=1.12838\n"),
     (["design", "two-state", "--v", "1"], "A_t0=1.571\n"),
     (["design", "three-state", "--n1", "1", "--n2", "5"],
      "A_t0=1.656 alpha=-2.530 beta=1\n"),
     (["design", "n-state", "--n", "4", "--n0", "-1"], "A_t0=-1.549 alpha=-0.167 beta=1\n"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,expected", ONE_LINE_RESULTS)
 def test_one_line_subcommands_print_their_result(capsys, argv, expected):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv,expected", ONE_LINE_RESULTS,
+                         ids=["flatness", "two-state", "three-state", "n-state"])
+def test_one_line_subcommands_write_their_result_to_out(tmp_path, capsys, argv, expected):
+    out = tmp_path / "result.txt"
+    assert cli.main(["--out", str(out), *argv]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == expected.encode()
 
 
 # every byte of `table --max-product 30`
@@ -468,16 +491,32 @@ def test_table_prints_thirteen_designs(capsys):
     assert capsys.readouterr().out == TABLE_30
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["n-state", "--n", "4", "--n0", "1", "--n1", "3"], "--n1"),
-    (["two-state", "--v", "1", "--sign", "-1"], "--sign"),
-    (["three-state", "--n1", "1", "--n2", "5", "--v", "0.3"], "--v"),
-    (["three-state", "--n1", "1", "--n2", "5", "--n", "4"], "--n"),
+@pytest.mark.parametrize("argv,line", [
+    (["n-state", "--n", "4", "--n0", "1", "--n1", "3"],
+     "degenpop: error: unrecognized arguments: --n1 3"),
+    (["two-state", "--v", "1", "--sign", "-1"],
+     "degenpop: error: unrecognized arguments: --sign -1"),
+    (["three-state", "--n1", "1", "--n2", "5", "--v", "0.3"],
+     "degenpop: error: unrecognized arguments: --v 0.3"),
+    (["three-state", "--n1", "1", "--n2", "5", "--n", "4"],
+     "degenpop design three-state: error: ambiguous option: --n could match --n1, --n2"),
 ], ids=["n1-to-n-state", "sign-to-two-state", "v-to-three-state", "n-to-three-state"])
-def test_design_rejects_a_flag_of_another_family(capsys, argv, flag):
+def test_design_rejects_a_flag_of_another_family(capsys, argv, line):
     assert cli.main(["design", *argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.rstrip().endswith(f"takes no {flag}")
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["three-state", "--n1", "1"], "--n2"),
+    (["n-state", "--n0", "1"], "--n"),
+    (["two-state"], "--v"),
+], ids=["three-state", "n-state", "two-state"])
+def test_design_missing_flag_exits_two_and_names_it(capsys, argv, flag):
+    assert cli.main(["design", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith(
+        f"error: the following arguments are required: {flag}")
 
 
 def test_design_nstate_below_three_states_exits_two(capsys):

@@ -146,7 +146,7 @@ def test_rect_kick_with_split_energies_matches_expm_per_segment():
 def test_kick_convergence_is_exact_at_every_width():
     model = standard_3state(-0.4, 1.0, np.zeros(3), RectKickPulse(1.2, 1.0, 0.4))
     ref = abs(expm(-1.2j * model.r)[1, 0]) ** 2
-    rows = kick_convergence(model, 1.2, 1.0, [0.4, 0.2, 0.1, 0.05])
+    rows = kick_convergence(model, [0.4, 0.2, 0.1, 0.05])
     assert [w for w, _ in rows] == [0.4, 0.2, 0.1, 0.05]
     assert max(abs(p2 - ref) for _, p2 in rows) < 1e-12
 
@@ -161,9 +161,24 @@ def test_kick_convergence_steps_at_the_kick_width(monkeypatch):
 
     monkeypatch.setattr(numeric, "integrate", spy)
     model = standard_3state(-0.4, 1.0, np.zeros(3), RectKickPulse(1.2, 1.0, 0.4))
-    kick_convergence(model, 1.2, 1.0, [0.4, 0.2, 0.1, 0.05])
+    kick_convergence(model, [0.4, 0.2, 0.1, 0.05])
     assert [dt for dt, _ in seen] == [0.4, 0.2, 0.1, 0.05]
     assert sum(steps for _, steps in seen) == 41  # the gap before each kick, then the kick
+
+
+@pytest.mark.parametrize("widths,match", [
+    ([], "positive"), ([0.4, 0.0], "positive"), ([0.4, -1e-9], "positive"),
+    ([0.1, 0.4], "strictly decreasing"),
+], ids=["empty", "zero", "negative", "increasing"])
+def test_kick_convergence_rejects_bad_widths(widths, match):
+    model = standard_2state(0.0, 0.0, RectKickPulse(1.0, 1.0, 0.4))
+    with pytest.raises(DomainError, match=match):
+        kick_convergence(model, widths)
+
+
+def test_kick_convergence_needs_a_rectangular_kick():
+    with pytest.raises(DomainError, match="rectangular kick"):
+        kick_convergence(standard_2state(0.0, 0.0, HarmonicPulse(1.0, 1.0)), [0.4])
 
 
 def test_sampled_pulse_degenerate_limit_matches_analytic():
@@ -253,12 +268,24 @@ def test_leakage_scan_matches_dop853():
         return standard_2state(0.0, 0.0, pulse).with_energies([0.0, omega21])
 
     ratios = [1.0, 3.7, 100.0, math.inf]
-    rows = leakage_scan(family, ratios)
+    rows = leakage_scan(standard_2state(0.0, 0.0, pulse), ratios)
     assert [r for r, _ in rows] == ratios
     for ratio, loss in rows:
         model = family(0.0 if math.isinf(ratio) else 1.0 / ratio)
         a2 = dop853(model, np.array([0.0, pulse.quarter_period]))[-1, 1]
         assert abs(loss - (1.0 - abs(a2) ** 2)) < 1e-11
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
+def test_leakage_scan_rejects_a_nonpositive_ratio(ratio):
+    model = standard_2state(0.0, 0.0, HarmonicPulse(0.5 * math.pi, 1.0))
+    with pytest.raises(DomainError, match="ratios must be positive"):
+        leakage_scan(model, [1.0, ratio])
+
+
+def test_leakage_scan_needs_a_harmonic_pulse():
+    with pytest.raises(DomainError, match="harmonic pulse"):
+        leakage_scan(standard_2state(0.0, 0.0, RectKickPulse(1.0, 1.0, 0.4)), [1.0])
 
 
 def compare_pair(times_b=None):
