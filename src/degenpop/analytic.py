@@ -9,11 +9,17 @@ with ``S = D r D^-1 = Q diag(z) Q^T`` the symmetrized strength matrix
 (see :mod:`degenpop.dressed`).  Propagation is one complex
 matrix-vector product per requested action value.  Written around
 ``e^{-izA} - 1`` the sum returns ``e_1`` exactly at A = 0.
+
+:func:`write_csv` formats the CSV on up to one forked worker per usable
+CPU; its bytes are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,12 +120,74 @@ def trajectory_to_csv(traj: Trajectory, start: int = 0, stop: int | None = None)
 
 
 def write_csv(traj: Trajectory, fh) -> None:
-    """Write :func:`trajectory_to_csv`'s text to the open text file ``fh`` cut into
-    ``_CSV_BLOCK_ROWS``-row blocks, one write each, so memory stays one block deep."""
-    # the header alone when there are no rows; the module-level name is looked
-    # up per block, so a wrapper installed on it sees every block
-    for lo in range(0, max(traj.times.size, 1), _CSV_BLOCK_ROWS):
-        fh.write(trajectory_to_csv(traj, lo, lo + _CSV_BLOCK_ROWS))
+    """Write :func:`trajectory_to_csv`'s text to the open text file ``fh``
+    (``io.StringIO`` too) in ``_CSV_BLOCK_ROWS``-row blocks.
+
+    The blocks are cut into contiguous ranges, one per usable CPU (at most one
+    per block).  The first range is formatted here, each later one by a forked
+    worker into a temporary file that is then copied to ``fh`` in order.  A
+    worker that fails raises OSError, and no worker outlives the call.  The
+    bytes are the same for any worker count, and memory stays one block deep.
+    """
+    # the header alone when there are no rows
+    starts = range(0, max(traj.times.size, 1), _CSV_BLOCK_ROWS)
+    k = min(_usable_cpus(), len(starts))
+    ranges = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
+    with contextlib.ExitStack() as files:
+        workers = []  # (file, pid) per later range; pid None where the fork failed
+        try:
+            for r in ranges[1:]:
+                tmp = files.enter_context(tempfile.TemporaryFile())
+                workers.append((tmp, _fork_writer(traj, r, tmp.fileno())))
+            _write_blocks(traj, ranges[0], fh.write)
+        finally:
+            statuses = [(pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                        for _, pid in workers if pid is not None]
+        for pid, code in statuses:
+            if code:
+                raise OSError(f"CSV worker {pid} exited with status {code}")
+        for r, (tmp, pid) in zip(ranges[1:], workers):
+            if pid is None:
+                _write_blocks(traj, r, fh.write)
+                continue
+            tmp.seek(0)  # the worker moved the offset it shares with tmp
+            while chunk := tmp.read(1 << 20):
+                fh.write(chunk.decode("ascii"))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_blocks(traj: Trajectory, starts: range, write) -> None:
+    # the module-level name is looked up per block, so a wrapper installed on
+    # it sees every block
+    for lo in starts:
+        write(trajectory_to_csv(traj, lo, lo + _CSV_BLOCK_ROWS))
+
+
+def _fork_writer(traj: Trajectory, starts: range, fd: int) -> int | None:
+    """Pid of a forked worker writing the blocks at ``starts`` to ``fd``, or
+    None when the fork fails.  The worker leaves only through ``os._exit``: it
+    never returns into the caller or flushes inherited stdio."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid:
+        return pid
+    status = 1
+    try:
+        with open(fd, "w", encoding="ascii", newline="", closefd=False) as out:
+            _write_blocks(traj, starts, out.write)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def leakage_estimate(omega21: float, omega: float) -> float:

@@ -7,9 +7,10 @@ each and ``table`` tabulates the three-state ones, and
 ``leakage``/``flatness``/``kick`` run the standard scans.  Argparse
 checks every flag.  Of the global flags, ``--out`` sends any command's
 result to a file instead of stdout (for ``simulate``, in place of the
-configured path); ``--config`` and ``--tol`` are read by ``simulate``
-only.  All file output is plain CSV or JSON so external tools can plot
-it; identical inputs produce byte-identical output.
+configured path); ``--config`` and ``--tol`` belong to ``simulate``, and
+any other command given either exits 2.  ``main`` builds the parser once
+per process.  All file output is plain CSV or JSON so external tools can
+plot it; identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric
 failure (including a compare run exceeding its tolerance).  ``main``
@@ -21,6 +22,7 @@ exits 2; any other ``DegenpopError`` or an ``ArithmeticError`` exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,6 +38,7 @@ from .pulses import PULSE_KINDS, HarmonicPulse, Pulse, RectKickPulse
 
 _USAGE_EXIT = 2
 _NUMERIC_EXIT = 3
+_TOL = 1e-6  # compare tolerance when --tol is not given
 
 _MODEL_KEYS = {"n", "alpha", "beta", "eps", "energies"}
 _RUN_KEYS = {"mode", "t_end", "dt", "samples"}
@@ -52,6 +55,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        given = [flag for flag, value in (("--config", args.config), ("--tol", args.tol))
+                 if value is not None]
+        if given and args.command != "simulate":
+            parser.error(f"only simulate takes {' and '.join(given)}")
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else 0
     try:
@@ -64,16 +71,18 @@ def main(argv=None) -> int:
         return _NUMERIC_EXIT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="degenpop",
         description="Simulate and design coherent population transfer in "
                     "degenerate few-state systems.")
-    parser.add_argument("--config", help="path to a JSON run configuration")
+    parser.add_argument("--config", help="path to a JSON run configuration (simulate only)")
     parser.add_argument("--out", help="write the result to this file instead of stdout "
                                       "(simulate: in place of output.path)")
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="tolerance for compare runs (default 1e-6)")
+    parser.add_argument("--tol", type=float,
+                        help=f"tolerance for compare runs (simulate only; default {_TOL:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a configured model")
@@ -126,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     if not args.config:
         raise ConfigError("simulate requires --config")
-    if not 0.0 <= args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and non-negative, got {args.tol}")
+    tol = _TOL if args.tol is None else args.tol
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"--tol must be finite and non-negative, got {tol}")
     with open(args.config) as fh:
         model, run = _validate_config(json.load(fh), args.mode)
     max_dev = None
@@ -154,9 +164,9 @@ def cmd_simulate(args) -> int:
                "closure_max_err": np.max(np.abs(traj.closure - 1.0)),
                "max_dev": max_dev}
     print(" ".join(f"{k}={v:.17g}" for k, v in summary.items() if v is not None))
-    if max_dev is not None and max_dev > args.tol:
+    if max_dev is not None and max_dev > tol:
         print(f"error: max deviation {max_dev:.17g} exceeds tolerance "
-              f"{args.tol:.17g}", file=sys.stderr)
+              f"{tol:.17g}", file=sys.stderr)
         return _NUMERIC_EXIT
     return 0
 

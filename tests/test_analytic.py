@@ -1,4 +1,6 @@
+import io
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ from oracles import (delta_kick_response, flat_top_quartic, probabilities_2state
                      trajectory_to_csv_rows)
 from scipy.linalg import expm
 
+from degenpop import analytic
 from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_many,
                                flatness_frequency, leakage_estimate,
                                probabilities_at, trajectory, trajectory_to_csv,
@@ -290,16 +293,19 @@ def test_trajectory_csv_format():
     assert lines[1].startswith("0,1,")
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_trajectory_csv_matches_row_oracle_across_blocks(n, tmp_path):
+def _random_trajectory(n, rows):
     a = np.random.default_rng(n).uniform(-2.0, 2.0, (n, n))
     r = a + a.T
     model = CouplingModel(n, r, np.diag(r).copy(), np.zeros(n), PULSE)
-    basis = decompose_general(model)
+    return trajectory(model, decompose_general(model), np.linspace(0.0, 7.0, rows))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_trajectory_csv_matches_row_oracle_across_blocks(n, tmp_path):
     b = _CSV_BLOCK_ROWS
     out = tmp_path / "traj.csv"
     for rows in (0, 1, b - 1, b, b + 1, 2 * b + 1):
-        traj = trajectory(model, basis, np.linspace(0.0, 7.0, rows))
+        traj = _random_trajectory(n, rows)
         text = trajectory_to_csv(traj)
         assert text == trajectory_to_csv_rows(traj)
         assert text.count("\n") == rows + 1
@@ -310,6 +316,73 @@ def test_trajectory_csv_matches_row_oracle_across_blocks(n, tmp_path):
         cuts = [0, 1, b // 2, b + 3, 2 * b + 1, 3 * b]
         assert "".join(trajectory_to_csv(traj, lo, hi)
                        for lo, hi in zip(cuts, cuts[1:])) == text
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(analytic, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_write_csv_matches_row_oracle_for_any_worker_count(n, cpus, tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, cpus)
+    b = _CSV_BLOCK_ROWS
+    out = tmp_path / "traj.csv"
+    for rows in (0, 1, b, b + 1, 2 * b + 1, 5 * b + 3):
+        traj = _random_trajectory(n, rows)
+        with open(out, "w", newline="") as fh:
+            write_csv(traj, fh)
+        assert out.read_text() == trajectory_to_csv_rows(traj)
+
+
+def test_write_csv_to_a_string_buffer(monkeypatch):
+    _usable_cpus(monkeypatch, 3)
+    traj = _random_trajectory(3, 2 * _CSV_BLOCK_ROWS + 1)
+    fh = io.StringIO()
+    write_csv(traj, fh)
+    assert fh.getvalue() == trajectory_to_csv(traj)
+
+
+def test_write_csv_formats_a_range_here_when_its_fork_fails(monkeypatch):
+    _usable_cpus(monkeypatch, 3)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    traj = _random_trajectory(2, 3 * _CSV_BLOCK_ROWS)
+    fh = io.StringIO()
+    write_csv(traj, fh)
+    assert fh.getvalue() == trajectory_to_csv(traj)
+
+
+def test_write_csv_worker_failure_raises_and_leaves_no_child(monkeypatch):
+    _usable_cpus(monkeypatch, 3)
+    parent, format_rows = os.getpid(), analytic.trajectory_to_csv
+
+    def fail_in_worker(traj, start=0, stop=None):
+        if os.getpid() != parent:
+            raise RuntimeError("worker formatter failed")
+        return format_rows(traj, start, stop)
+
+    monkeypatch.setattr(analytic, "trajectory_to_csv", fail_in_worker)
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_csv(_random_trajectory(3, 3 * _CSV_BLOCK_ROWS), io.StringIO())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_csv_failing_target_leaves_no_child(monkeypatch):
+    _usable_cpus(monkeypatch, 3)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError("no space left")
+
+    with pytest.raises(OSError, match="no space left"):
+        write_csv(_random_trajectory(3, 3 * _CSV_BLOCK_ROWS), Full())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_write_csv_holds_one_block_not_the_whole_text(tmp_path):

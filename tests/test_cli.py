@@ -296,6 +296,39 @@ def test_invalid_tolerance_exits_two(tmp_path, capsys, tol):
     assert not (tmp_path / "out.csv").exists()
 
 
+OTHER_COMMANDS = {
+    "design": ["design", "two-state", "--v", "1"],
+    "table": ["table", "--max-product", "30"],
+    "leakage": ["leakage", "--ratios", "10"],
+    "flatness": ["flatness", "--pcr", "1", "--ts", "1"],
+    "kick": ["kick", "--A0", "1", "--widths", "0.4"],
+}
+
+
+@pytest.mark.parametrize("flags", [["--config", "absent.json"], ["--tol", "nan"],
+                                   ["--tol", "1e-6", "--config", "absent.json"]],
+                         ids=["config", "tol", "both"])
+@pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
+def test_simulate_flags_on_another_command_exit_two(tmp_path, capsys, command, flags):
+    out = tmp_path / "out.txt"
+    assert cli.main([*flags, "--out", str(out), *OTHER_COMMANDS[command]]) == 2
+    err = capsys.readouterr().err
+    assert "only simulate takes" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not out.exists()
+    # the same command without them still runs
+    assert cli.main(["--out", str(out), *OTHER_COMMANDS[command]]) == 0
+
+
+def test_main_reuses_one_parser(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    config = write_config(tmp_path, mode="compare")
+    # a flag given to one call does not carry over to the next
+    assert cli.main(["--tol", "1e-30", "--config", str(config), "simulate"]) == 3
+    assert cli.main(["--config", str(config), "simulate"]) == 0
+    assert cli.main(OTHER_COMMANDS["flatness"]) == 0
+
+
 @pytest.mark.parametrize("mode", ["numeric", "compare"])
 def test_delta_kick_cannot_be_integrated_exits_two(tmp_path, capsys, mode):
     config, raw = write_variant_config(tmp_path, "delta_kick")
