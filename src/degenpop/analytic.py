@@ -10,8 +10,14 @@ with ``S = D r D^-1 = Q diag(z) Q^T`` the symmetrized strength matrix
 matrix-vector product per requested action value.  Written around
 ``e^{-izA} - 1`` the sum returns ``e_1`` exactly at A = 0.
 
-:func:`write_csv` formats the CSV on up to one forked worker per usable
-CPU; its bytes are identical for any worker count.
+Every row depends on its own time alone, so a run need not be held whole:
+:func:`trajectory_rows` propagates any rows on demand, bitwise as
+:func:`trajectory` gives them on the whole grid.  :func:`write_csv` spreads
+the CSV's blocks over up to one forked worker per usable CPU, and each
+process propagates and formats only its own blocks, so workers call BLAS.
+That is safe with OpenBLAS's pthreads build, which shuts its thread pool
+down in a fork handler; a worker starts with no BLAS thread to inherit.
+The bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +36,12 @@ from .errors import DomainError, OutOfDomain
 from .pulses import action_values
 
 CLOSURE_TOL = 1e-9
-# rows per write_csv block, formatted by one % (8192 measured fastest)
-_CSV_BLOCK_ROWS = 8192
+# rows per write_csv block, propagated in one call and formatted by one %.
+# Formatting speed is flat from 2048 to 16384 rows; at n <= 3, 4096 keeps a
+# block's complex product below OpenBLAS's threading threshold (8192 rows are
+# threaded), and a threaded call made while every core formats a range waits
+# ~12 ms for its helper thread
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,18 @@ class Trajectory:
     amplitudes: np.ndarray
     probabilities: np.ndarray
     closure: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> Trajectory:
+        """Rows ``lo`` up to (not including) ``hi`` as views; a row source
+        for :func:`write_csv`."""
+        return Trajectory(self.times[lo:hi], self.amplitudes[lo:hi],
+                          self.probabilities[lo:hi], self.closure[lo:hi])
+
+    @property
+    def closure_error(self) -> float:
+        """Largest ``|closure - 1|`` over the rows: NaN if any closure is
+        NaN, 0 for no rows."""
+        return float(np.max(np.abs(self.closure - 1.0), initial=0.0))
 
 
 def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
@@ -82,77 +104,117 @@ def trajectory(model: CouplingModel, basis: DressedBasis,
     ``model.energies`` raise DomainError (equal ones are a global phase).
     ``times``: a finite, non-negative, non-decreasing 1-d grid, checked here for any pulse.
     """
-    energies = model.energies.tolist()
-    if len(set(energies)) > 1:
-        raise DomainError("closed-form propagation needs equal energies, "
-                          f"got energies={energies}")
-    times = np.asarray(times, dtype=float)
-    actions = action_values(model.pulse, times)
-    # after a built-in pulse's own check; NaN fails every comparison, so ends suffice
-    if times.ndim != 1 or times.size and not (
-            times[0] >= 0.0 and times[-1] < math.inf and (times[1:] >= times[:-1]).all()):
-        raise OutOfDomain("times must be a finite, non-negative, non-decreasing 1-d grid")
-    amps = amplitudes_many(basis, actions)
+    times = _checked_grid(model, times)
+    amps = amplitudes_many(basis, action_values(model.pulse, times))
     probs = np.abs(amps) ** 2
     closure = probs @ model.closure_weights
     return Trajectory(times, amps, probs, closure)
 
 
-def trajectory_to_csv(traj: Trajectory, start: int = 0, stop: int | None = None) -> str:
-    """Serialize rows ``start`` up to (not including) ``stop`` of a
-    trajectory as CSV: t, per-state populations, closure.
+def trajectory_rows(model: CouplingModel, basis: DressedBasis, times):
+    """Row source ``rows(lo, hi)`` for :func:`write_csv` that holds only
+    ``times`` and propagates the requested rows on each call.
 
-    The header ``t,P1,...,Pn,closure`` comes first when ``start`` is 0; a
-    ``stop`` past the last row (or None) ends at it, so the defaults give
-    the whole text.  Every number is written as ``%.17g`` (so it reads back
-    to the same float), every line ends in ``\n``, and identical input
-    gives byte-identical output.  The rows are formatted by one ``%``;
-    :func:`write_csv` alone cuts a trajectory into blocks.
+    ``rows(lo, hi)`` is bitwise ``trajectory(model, basis, times).rows(lo, hi)``:
+    it propagates the whole ``_CSV_BLOCK_ROWS``-aligned blocks that hold the
+    rows, whose rows BLAS rounds as in the whole grid.  A product of one row
+    goes to gemv, which rounds otherwise, so a one-row last block takes the
+    row before it along.  What :func:`trajectory` raises for the model and
+    the grid is raised here, before any row is propagated.
+    """
+    times = _checked_grid(model, times)
+
+    def rows(lo: int, hi: int) -> Trajectory:
+        first = lo - lo % _CSV_BLOCK_ROWS
+        last = min(-(-hi // _CSV_BLOCK_ROWS) * _CSV_BLOCK_ROWS, times.size)
+        if last - first == 1 and first:
+            first -= 1
+        # the module-level name, so a wrapper installed on it sees every block
+        return trajectory(model, basis, times[first:last]).rows(lo - first, hi - first)
+
+    return rows
+
+
+def _checked_grid(model: CouplingModel, times) -> np.ndarray:
+    """``times`` as floats, after the checks of :func:`trajectory`."""
+    energies = model.energies.tolist()
+    if len(set(energies)) > 1:
+        raise DomainError("closed-form propagation needs equal energies, "
+                          f"got energies={energies}")
+    times = np.asarray(times, dtype=float)
+    # NaN fails every comparison, so the ends and the order suffice
+    if times.ndim != 1 or times.size and not (
+            times[0] >= 0.0 and times[-1] < math.inf and (times[1:] >= times[:-1]).all()):
+        raise OutOfDomain("times must be a finite, non-negative, non-decreasing 1-d grid")
+    return times
+
+
+def trajectory_to_csv(traj: Trajectory, header: bool = True) -> str:
+    """Serialize a trajectory as CSV: t, per-state populations, closure.
+
+    The header ``t,P1,...,Pn,closure`` comes first when ``header`` is true.
+    Every number is written as ``%.17g`` (so it reads back to the same
+    float), every line ends in ``\n``, and identical input gives
+    byte-identical output.  The rows are formatted by one ``%``;
+    :func:`write_csv` feeds it one block of rows at a time.
     """
     n = traj.probabilities.shape[1]
     row = ",".join(["%.17g"] * (n + 2)) + "\n"
-    rows = slice(start, stop)
-    block = np.column_stack((traj.times[rows], traj.probabilities[rows], traj.closure[rows]))
+    block = np.column_stack((traj.times, traj.probabilities, traj.closure))
     text = (row * len(block)) % tuple(block.ravel().tolist())
-    if start == 0:
+    if header:
         text = "t," + "".join(f"P{j + 1}," for j in range(n)) + "closure\n" + text
     return text
 
 
-def write_csv(traj: Trajectory, fh) -> None:
-    """Write :func:`trajectory_to_csv`'s text to the open text file ``fh``
-    (``io.StringIO`` too) in ``_CSV_BLOCK_ROWS``-row blocks.
+def write_csv(rows, count: int, fh) -> float:
+    """Write the CSV text of rows 0 up to ``count`` of the row source
+    ``rows`` to the open text file ``fh`` (``io.StringIO`` too), and return
+    their largest closure error (:attr:`Trajectory.closure_error`).
 
-    The blocks are cut into contiguous ranges, one per usable CPU (at most one
-    per block).  The first range is formatted here, each later one by a forked
-    worker into a temporary file that is then copied to ``fh`` in order.  A
-    worker that fails raises OSError, and no worker outlives the call.  The
-    bytes are the same for any worker count, and memory stays one block deep.
+    ``rows(lo, hi)`` gives the :class:`Trajectory` of rows lo up to hi: a
+    finished trajectory's :meth:`Trajectory.rows`, or :func:`trajectory_rows`,
+    which propagates them then.  The ``_CSV_BLOCK_ROWS``-row blocks are cut
+    into contiguous ranges, one per usable CPU (at most one per block).  The
+    first range is handled here, each later one by a forked worker, and
+    every process asks ``rows`` only for the blocks it formats: a streamed
+    run is propagated once, on every core, and no process holds more than a
+    block of it.  Its workers then call BLAS, which OpenBLAS's fork handler
+    makes safe (module docstring).  A worker writes its text to a temporary file, copied to
+    ``fh`` in order, and sends its closure error through a pipe.  A worker
+    that fails raises OSError, and no worker outlives the call.  The bytes
+    and the error are the same for any worker count.
     """
     # the header alone when there are no rows
-    starts = range(0, max(traj.times.size, 1), _CSV_BLOCK_ROWS)
+    starts = range(0, max(count, 1), _CSV_BLOCK_ROWS)
     k = min(_usable_cpus(), len(starts))
     ranges = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
     with contextlib.ExitStack() as files:
+        read_end, write_end = os.pipe()
+        files.callback(os.close, read_end)
+        files.callback(os.close, write_end)
         workers = []  # (file, pid) per later range; pid None where the fork failed
         try:
             for r in ranges[1:]:
                 tmp = files.enter_context(tempfile.TemporaryFile())
-                workers.append((tmp, _fork_writer(traj, r, tmp.fileno())))
-            _write_blocks(traj, ranges[0], fh.write)
+                workers.append((tmp, _fork_writer(rows, count, r, tmp.fileno(), write_end)))
+            errors = [_write_blocks(rows, count, ranges[0], fh.write)]
         finally:
             statuses = [(pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
                         for _, pid in workers if pid is not None]
         for pid, code in statuses:
             if code:
                 raise OSError(f"CSV worker {pid} exited with status {code}")
+        # each worker wrote its 8 bytes in one write before it exited
+        errors.extend(np.frombuffer(os.read(read_end, 8 * len(statuses)), np.float64))
         for r, (tmp, pid) in zip(ranges[1:], workers):
             if pid is None:
-                _write_blocks(traj, r, fh.write)
+                errors.append(_write_blocks(rows, count, r, fh.write))
                 continue
             tmp.seek(0)  # the worker moved the offset it shares with tmp
             while chunk := tmp.read(1 << 20):
                 fh.write(chunk.decode("ascii"))
+    return float(np.max(errors))
 
 
 def _usable_cpus() -> int:
@@ -164,17 +226,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_blocks(traj: Trajectory, starts: range, write) -> None:
-    # the module-level name is looked up per block, so a wrapper installed on
-    # it sees every block
+def _write_blocks(rows, count: int, starts: range, write) -> float:
+    """Format the blocks at ``starts``; their largest closure error."""
+    errors = []
     for lo in starts:
-        write(trajectory_to_csv(traj, lo, lo + _CSV_BLOCK_ROWS))
+        block = rows(lo, min(lo + _CSV_BLOCK_ROWS, count))
+        # the module-level name is looked up per block, so a wrapper installed
+        # on it sees every block
+        write(trajectory_to_csv(block, lo == 0))
+        errors.append(block.closure_error)
+    return float(np.max(errors))
 
 
-def _fork_writer(traj: Trajectory, starts: range, fd: int) -> int | None:
-    """Pid of a forked worker writing the blocks at ``starts`` to ``fd``, or
-    None when the fork fails.  The worker leaves only through ``os._exit``: it
-    never returns into the caller or flushes inherited stdio."""
+def _fork_writer(rows, count: int, starts: range, fd: int, pipe: int) -> int | None:
+    """Pid of a forked worker writing the blocks at ``starts`` to ``fd`` and
+    their closure error to ``pipe``, or None when the fork fails.  The
+    worker leaves only through ``os._exit``: it never returns into the
+    caller or flushes inherited stdio."""
     try:
         pid = os.fork()
     except OSError:
@@ -184,7 +252,8 @@ def _fork_writer(traj: Trajectory, starts: range, fd: int) -> int | None:
     status = 1
     try:
         with open(fd, "w", encoding="ascii", newline="", closefd=False) as out:
-            _write_blocks(traj, starts, out.write)
+            error = _write_blocks(rows, count, starts, out.write)
+        os.write(pipe, np.float64(error).tobytes())
         status = 0
     finally:
         os._exit(status)

@@ -46,9 +46,11 @@ _OUTPUT_KEYS = {"path", "format"}
 # each section's keys; the pulse's are narrowed to its kind's own later
 _SECTIONS = {"model": _MODEL_KEYS, "run": _RUN_KEYS, "output": _OUTPUT_KEYS,
              "pulse": {"kind"}.union(*(cls.schema for cls in PULSE_KINDS.values()))}
-# most rows a run or a kick width may hold: each costs its trajectory arrays
-# in memory (~144 B at n = 3); the CSV is written a block at a time
+# most rows a run or a kick width may hold.  An analytic CSV run holds only
+# its times (8 B a row) and propagates a block at a time; numeric, compare
+# and JSON runs hold every row's trajectory arrays (~144 B at n = 3)
 _MAX_ROWS = 10 ** 7
+_NEAREST_ROWS = 1 << 16  # times searched at once for the reported row
 
 
 def main(argv=None) -> int:
@@ -140,29 +142,36 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--tol must be finite and non-negative, got {tol}")
     with open(args.config) as fh:
         model, run = _validate_config(json.load(fh), args.mode)
-    max_dev = None
+    max_dev = traj = None
     if run["mode"] == "analytic":
         times = np.linspace(0.0, run["t_end"], run["samples"])
-        traj = analytic.trajectory(model, decompose_general(model), times)
+        basis = decompose_general(model)
+        # a CSV's rows are propagated a block at a time by the processes that format them
+        if run["format"] == "csv":
+            rows = analytic.trajectory_rows(model, basis, times)
+        else:
+            traj = analytic.trajectory(model, basis, times)
     else:
         traj = numeric.integrate(model, run["dt"], run["t_end"])
         if run["mode"] == "compare":
             degenerate = model.with_energies(np.zeros(model.n))
             ref = analytic.trajectory(degenerate, decompose_general(model), traj.times)
             max_dev = numeric.compare(traj, ref)
+    if traj is not None:
+        times, rows = traj.times, traj.rows
 
     out_path = args.out or run["path"]
     if run["format"] == "csv":
         with open(out_path, "w", newline="") as fh:
-            analytic.write_csv(traj, fh)
+            closure_error = analytic.write_csv(rows, times.size, fh)
     else:
         _emit(json.dumps({"t": traj.times.tolist(), "P": traj.probabilities.tolist(),
                           "closure": traj.closure.tolist()}, sort_keys=True), out_path)
-    t_ref = model.pulse.reference_time(float(traj.times[-1]))
-    idx = int(np.argmin(np.abs(traj.times - t_ref)))
-    summary = {"t0": traj.times[idx], "P2(t0)": traj.probabilities[idx, 1],
-               "closure_max_err": np.max(np.abs(traj.closure - 1.0)),
-               "max_dev": max_dev}
+        closure_error = traj.closure_error
+    t_ref = model.pulse.reference_time(float(times[-1]))
+    idx = _nearest(times, t_ref)
+    summary = {"t0": times[idx], "P2(t0)": rows(idx, idx + 1).probabilities[0, 1],
+               "closure_max_err": closure_error, "max_dev": max_dev}
     print(" ".join(f"{k}={v:.17g}" for k, v in summary.items() if v is not None))
     if max_dev is not None and max_dev > tol:
         print(f"error: max deviation {max_dev:.17g} exceeds tolerance "
@@ -323,6 +332,19 @@ def _section(value, where: str, allowed) -> dict:
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     return value
+
+
+def _nearest(times: np.ndarray, t: float) -> int:
+    """The index ``np.argmin(np.abs(times - t))`` gives for finite ``times``:
+    the first of the times nearest ``t``, found without a temporary as long
+    as the grid."""
+    best, best_dist = 0, math.inf
+    for lo in range(0, times.size, _NEAREST_ROWS):
+        dist = np.abs(times[lo:lo + _NEAREST_ROWS] - t)
+        k = int(np.argmin(dist))
+        if dist[k] < best_dist:
+            best, best_dist = lo + k, dist[k]
+    return best
 
 
 def _csv(header: str, rows) -> str:

@@ -16,8 +16,8 @@ from scipy.linalg import expm
 from degenpop import analytic
 from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_many,
                                flatness_frequency, leakage_estimate,
-                               probabilities_at, trajectory, trajectory_to_csv,
-                               write_csv)
+                               probabilities_at, trajectory, trajectory_rows,
+                               trajectory_to_csv, write_csv)
 from degenpop.control import design_3state, pulse_for_design
 from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)
@@ -293,11 +293,21 @@ def test_trajectory_csv_format():
     assert lines[1].startswith("0,1,")
 
 
-def _random_trajectory(n, rows):
+def _random_model(n):
     a = np.random.default_rng(n).uniform(-2.0, 2.0, (n, n))
     r = a + a.T
-    model = CouplingModel(n, r, np.diag(r).copy(), np.zeros(n), PULSE)
+    return CouplingModel(n, r, np.diag(r).copy(), np.zeros(n), PULSE)
+
+
+def _random_trajectory(n, rows):
+    model = _random_model(n)
     return trajectory(model, decompose_general(model), np.linspace(0.0, 7.0, rows))
+
+
+def _written(rows, count):
+    fh = io.StringIO()
+    error = write_csv(rows, count, fh)
+    return fh.getvalue(), error
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -310,12 +320,47 @@ def test_trajectory_csv_matches_row_oracle_across_blocks(n, tmp_path):
         assert text == trajectory_to_csv_rows(traj)
         assert text.count("\n") == rows + 1
         with open(out, "w", newline="") as fh:
-            write_csv(traj, fh)
+            write_csv(traj.rows, rows, fh)
         assert out.read_text() == text
         # pieces that start mid-block, and a stop past the last row
         cuts = [0, 1, b // 2, b + 3, 2 * b + 1, 3 * b]
-        assert "".join(trajectory_to_csv(traj, lo, hi)
+        assert "".join(trajectory_to_csv(traj.rows(lo, hi), lo == 0)
                        for lo, hi in zip(cuts, cuts[1:])) == text
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_block_slices_propagate_bitwise_as_the_whole_grid(n):
+    # the invariant write_csv's streamed rows rest on
+    b = _CSV_BLOCK_ROWS
+    model = _random_model(n)
+    basis = decompose_general(model)
+    for count in (1, b, b + 1, 200_000):
+        times = np.linspace(0.0, 7.0, count)
+        whole = trajectory(model, basis, times)
+        rows = trajectory_rows(model, basis, times)
+        for lo in range(0, count, b):
+            hi = min(lo + b, count)
+            pieces = [rows(lo, hi)]
+            if hi - lo > 1 or lo == 0:  # one row alone is multiplied by gemv
+                pieces.append(trajectory(model, basis, times[lo:hi]))
+            for piece in pieces:
+                assert np.array_equal(piece.times, times[lo:hi])
+                assert np.array_equal(piece.amplitudes, whole.amplitudes[lo:hi])
+                assert np.array_equal(piece.probabilities, whole.probabilities[lo:hi])
+                assert np.array_equal(piece.closure, whole.closure[lo:hi])
+        for k in {0, b - 1, b, count // 2, count - 1}:
+            if k < count:
+                assert np.array_equal(rows(k, k + 1).amplitudes, whole.amplitudes[k:k + 1])
+
+
+def test_trajectory_rows_raises_before_propagating(monkeypatch):
+    model = _random_model(3)
+    basis = decompose_general(model)
+    monkeypatch.setattr(analytic, "amplitudes_many", None)  # any propagation fails
+    with pytest.raises(DomainError, match="equal energies"):
+        trajectory_rows(model.with_energies(np.array([0.0, 0.1, 0.0])), basis, [0.0, 1.0])
+    with pytest.raises(OutOfDomain, match="non-decreasing"):
+        trajectory_rows(model, basis, [0.0, 2.0, 1.0])
 
 
 def _usable_cpus(monkeypatch, count):
@@ -327,20 +372,35 @@ def _usable_cpus(monkeypatch, count):
 def test_write_csv_matches_row_oracle_for_any_worker_count(n, cpus, tmp_path, monkeypatch):
     _usable_cpus(monkeypatch, cpus)
     b = _CSV_BLOCK_ROWS
+    model = _random_model(n)
+    basis = decompose_general(model)
     out = tmp_path / "traj.csv"
     for rows in (0, 1, b, b + 1, 2 * b + 1, 5 * b + 3):
-        traj = _random_trajectory(n, rows)
-        with open(out, "w", newline="") as fh:
-            write_csv(traj, fh)
-        assert out.read_text() == trajectory_to_csv_rows(traj)
+        times = np.linspace(0.0, 7.0, rows)
+        traj = trajectory(model, basis, times)
+        for source in (traj.rows, trajectory_rows(model, basis, times)):
+            with open(out, "w", newline="") as fh:
+                error = write_csv(source, rows, fh)
+            assert out.read_text() == trajectory_to_csv_rows(traj)
+            assert error == traj.closure_error
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_write_csv_returns_the_largest_closure_error_of_any_range(cpus, monkeypatch):
+    _usable_cpus(monkeypatch, cpus)
+    traj = _random_trajectory(3, 3 * _CSV_BLOCK_ROWS)
+    closure = np.ones(traj.times.size)
+    closure[[5, 2 * _CSV_BLOCK_ROWS + 7]] = (1.0 + 2.0 ** -40, 1.0 - 2.0 ** -30)
+    source = replace(traj, closure=closure).rows
+    assert _written(source, closure.size)[1] == 2.0 ** -30  # in the last worker's range
+    closure[_CSV_BLOCK_ROWS + 1] = math.nan
+    assert math.isnan(_written(source, closure.size)[1])
 
 
 def test_write_csv_to_a_string_buffer(monkeypatch):
     _usable_cpus(monkeypatch, 3)
     traj = _random_trajectory(3, 2 * _CSV_BLOCK_ROWS + 1)
-    fh = io.StringIO()
-    write_csv(traj, fh)
-    assert fh.getvalue() == trajectory_to_csv(traj)
+    assert _written(traj.rows, traj.times.size)[0] == trajectory_to_csv(traj)
 
 
 def test_write_csv_formats_a_range_here_when_its_fork_fails(monkeypatch):
@@ -351,23 +411,22 @@ def test_write_csv_formats_a_range_here_when_its_fork_fails(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     traj = _random_trajectory(2, 3 * _CSV_BLOCK_ROWS)
-    fh = io.StringIO()
-    write_csv(traj, fh)
-    assert fh.getvalue() == trajectory_to_csv(traj)
+    assert _written(traj.rows, traj.times.size) == (trajectory_to_csv(traj), traj.closure_error)
 
 
 def test_write_csv_worker_failure_raises_and_leaves_no_child(monkeypatch):
     _usable_cpus(monkeypatch, 3)
     parent, format_rows = os.getpid(), analytic.trajectory_to_csv
 
-    def fail_in_worker(traj, start=0, stop=None):
+    def fail_in_worker(traj, header=True):
         if os.getpid() != parent:
             raise RuntimeError("worker formatter failed")
-        return format_rows(traj, start, stop)
+        return format_rows(traj, header)
 
     monkeypatch.setattr(analytic, "trajectory_to_csv", fail_in_worker)
+    traj = _random_trajectory(3, 3 * _CSV_BLOCK_ROWS)
     with pytest.raises(OSError, match="exited with status 1"):
-        write_csv(_random_trajectory(3, 3 * _CSV_BLOCK_ROWS), io.StringIO())
+        write_csv(traj.rows, traj.times.size, io.StringIO())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -379,21 +438,24 @@ def test_write_csv_failing_target_leaves_no_child(monkeypatch):
         def write(self, text):
             raise OSError("no space left")
 
+    traj = _random_trajectory(3, 3 * _CSV_BLOCK_ROWS)
     with pytest.raises(OSError, match="no space left"):
-        write_csv(_random_trajectory(3, 3 * _CSV_BLOCK_ROWS), Full())
+        write_csv(traj.rows, traj.times.size, Full())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_write_csv_holds_one_block_not_the_whole_text(tmp_path):
-    # 200 000 rows are ~19 MB of text and 35 MB to build as one string;
-    # streamed, the peak is a block's text and numbers (~2.7 MB)
+    # 200 000 rows are ~19 MB of text and 35 MB to build as one string, and
+    # their trajectory arrays ~25 MB; streamed, the peak is a block's
+    # trajectory, text and numbers
     model = standard_3state(0.3, 1.0, np.zeros(3), PULSE)
-    traj = trajectory(model, decompose_general(model), np.linspace(0.0, 6.0, 200_000))
+    times = np.linspace(0.0, 6.0, 200_000)
+    rows = trajectory_rows(model, decompose_general(model), times)
     tracemalloc.start()
     try:
         with open(tmp_path / "dense.csv", "w", newline="") as fh:
-            write_csv(traj, fh)
+            write_csv(rows, times.size, fh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

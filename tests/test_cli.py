@@ -339,11 +339,42 @@ def test_delta_kick_cannot_be_integrated_exits_two(tmp_path, capsys, mode):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_analytic_run_with_split_energies_exits_two(tmp_path, capsys):
-    config = write_config(tmp_path, mode="analytic", energies=[0.0, 3.0, 0.0])
-    assert cli.main(["--config", str(config), "simulate"]) == 2
-    assert "energies" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
+def test_analytic_run_with_split_energies_exits_two(tmp_path, capsys, monkeypatch):
+    # raised before the output file is opened, or a CSV worker forked
+    def no_fork():
+        raise AssertionError("forked before the model was checked")
+
+    monkeypatch.setattr(analytic, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        config = write_config(tmp_path, mode="analytic", energies=[0.0, 3.0, 0.0],
+                              run={"samples": 3 * analytic._CSV_BLOCK_ROWS},
+                              output={"path": str(out), "format": fmt})
+        assert cli.main(["--config", str(config), "simulate"]) == 2
+        assert capsys.readouterr() == ("", "error: closed-form propagation needs equal "
+                                           "energies, got energies=[0.0, 3.0, 0.0]\n")
+        assert not out.exists()
+
+
+def _nearest_cases():
+    b = cli._NEAREST_ROWS
+    grid, edge = np.linspace(0.0, 6.0, 200_000), np.arange(2.0 * b)
+    ties = np.array([0.0, 1.0, 1.0, 2.0])
+    cases = {
+        "before-grid": (grid, -1.0), "first": (grid, 0.0), "inside": (grid, 0.5 * math.pi),
+        "past-grid": (grid, 7.0), "repeated": (ties, 1.0), "halfway": (ties, 0.5),
+        # equally near the last time of one search block and the first of the next
+        "across-blocks": (edge, b - 0.5), "next-block": (edge, b + 0.25),
+        "all-distances-equal": (np.linspace(0.0, 1e-300, 3 * b), 1.5),
+        "nan": (np.array([3.0]), math.nan),
+    }
+    return [pytest.param(times, t, id=name) for name, (times, t) in cases.items()]
+
+
+@pytest.mark.parametrize("times,t", _nearest_cases())
+def test_nearest_is_the_argmin_of_the_distance(times, t):
+    assert cli._nearest(times, t) == int(np.argmin(np.abs(times - t)))
 
 
 def fd_inode(fd):
@@ -591,6 +622,29 @@ def test_json_output_is_the_library_trajectory_and_repeats_bytes(tmp_path, capsy
     assert doc["t"] == traj.times.tolist()
     assert doc["P"] == traj.probabilities.tolist()
     assert doc["closure"] == traj.closure.tolist()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("extra,omega", [
+    (1, 1.0), (1, math.pi / 6.0), (1, 0.2), (5, 0.2),
+], ids=["first-block", "middle-block", "last-one-row-block", "last-partial-block"])
+def test_streamed_summary_and_csv_are_the_whole_trajectory_ones(
+        tmp_path, capsys, monkeypatch, cpus, extra, omega):
+    # 3 blocks and a partial one; t0 = pi/(2 omega) lies in the first, the
+    # second, or past t_end = 6, which reports the last row
+    monkeypatch.setattr(analytic, "_usable_cpus", lambda: cpus)
+    samples = 3 * analytic._CSV_BLOCK_ROWS + extra
+    config = write_config(tmp_path, mode="analytic", run={"t_end": 6.0, "samples": samples},
+                          pulse={"omega": omega})
+    assert cli.main(["--config", str(config), "simulate"]) == 0
+    model, run = cli._validate_config(json.loads(config.read_text()))
+    traj = library_trajectory(model, 6.0, samples)
+    idx = int(np.argmin(np.abs(traj.times - model.pulse.reference_time(6.0))))
+    assert idx // analytic._CSV_BLOCK_ROWS == (0 if omega == 1.0 else 1 if omega > 0.2 else 3)
+    assert capsys.readouterr().out == (
+        f"t0={traj.times[idx]:.17g} P2(t0)={traj.probabilities[idx, 1]:.17g} "
+        f"closure_max_err={np.max(np.abs(traj.closure - 1.0)):.17g}\n")
+    assert (tmp_path / "out.csv").read_bytes() == analytic.trajectory_to_csv(traj).encode()
 
 
 @pytest.mark.parametrize("n", [2, 6])
