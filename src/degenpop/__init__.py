@@ -8,8 +8,8 @@ are test oracles, not part of the package.
 """
 
 from .analytic import (Trajectory, amplitudes_many, flatness_frequency,
-                       leakage_estimate, probabilities_at, trajectory,
-                       trajectory_rows, trajectory_to_csv, write_csv)
+                       leakage_estimate, trajectory, trajectory_rows,
+                       trajectory_to_csv, write_csv)
 from .control import (ControlDesign, design_3state, design_nstate, designs_to_csv,
                       enumerate_designs, pulse_for_design, target_2state)
 from .coupling import (CouplingModel, standard_2state, standard_3state,
@@ -27,8 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Trajectory", "amplitudes_many", "flatness_frequency", "leakage_estimate",
-    "probabilities_at", "trajectory", "trajectory_rows", "trajectory_to_csv",
-    "write_csv",
+    "trajectory", "trajectory_rows", "trajectory_to_csv", "write_csv",
     "ControlDesign", "design_3state", "design_nstate", "designs_to_csv",
     "enumerate_designs", "pulse_for_design", "target_2state",
     "CouplingModel", "standard_2state", "standard_3state", "symmetric_nstate",

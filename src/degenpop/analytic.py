@@ -35,7 +35,6 @@ from .dressed import DressedBasis
 from .errors import DomainError, OutOfDomain
 from .pulses import action_values
 
-CLOSURE_TOL = 1e-9
 # rows per write_csv block, propagated in one call and formatted by one %.
 # Formatting speed is flat from 2048 to 16384 rows; at n <= 3, 4096 keeps a
 # block's complex product below OpenBLAS's threading threshold (8192 rows are
@@ -66,8 +65,8 @@ class Trajectory:
 
     @property
     def closure_error(self) -> float:
-        """Largest ``|closure - 1|`` over the rows: NaN if any closure is
-        NaN, 0 for no rows."""
+        """Largest ``|closure - 1|`` over the rows, reported, never raised:
+        NaN if any closure is NaN, 0 for no rows."""
         return float(np.max(np.abs(self.closure - 1.0), initial=0.0))
 
 
@@ -79,21 +78,6 @@ def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     amps = phases @ basis.m_inv.T
     amps[:, 0] += 1.0
     return amps
-
-
-def probabilities_at(basis: DressedBasis, action: float) -> np.ndarray:
-    """Populations |a_j|^2 at one action value, closure-checked.
-
-    The populations weighted by the basis's closure weights
-    ``basis.scale**2`` must sum to 1 within CLOSURE_TOL, else
-    ArithmeticError.  :func:`trajectory` reports its closure sums instead
-    of checking them.
-    """
-    p = np.abs(amplitudes_many(basis, [float(action)])[0]) ** 2
-    total = float(basis.scale ** 2 @ p)
-    if abs(total - 1.0) > CLOSURE_TOL:
-        raise ArithmeticError(f"closure sum {total!r} deviates from 1")
-    return p
 
 
 def trajectory(model: CouplingModel, basis: DressedBasis,
@@ -121,6 +105,11 @@ def trajectory_rows(model: CouplingModel, basis: DressedBasis, times):
     goes to gemv, which rounds otherwise, so a one-row last block takes the
     row before it along.  What :func:`trajectory` raises for the model and
     the grid is raised here, before any row is propagated.
+
+    Above 3 rows a block's product crosses OpenBLAS's threading threshold
+    (about 2 600 block rows at n = 5), so streaming them through
+    :func:`write_csv` on every core can be slower than writing a finished
+    :func:`trajectory`.  The CLI's models reduce to at most 3 rows.
     """
     times = _checked_grid(model, times)
 

@@ -21,9 +21,12 @@ unequal diagonal strengths.  Each is pinned to propagation by the package.
 every odd pair, the loop that ``control.enumerate_designs`` must match.
 :func:`two_branch_structure_check` is the structure check
 ``CouplingModel`` made before it had one rule.
-:func:`probabilities_cosine_form` expands a population into its double
-cosine sum, and :func:`trajectory_to_csv_rows` is the row-at-a-time CSV
-serializer that ``analytic.trajectory_to_csv`` must match byte for byte.
+:func:`probabilities_at` gives the populations at one action and raises
+where their closure sum misses 1, the check that ``Trajectory.closure_error``
+reports instead.  :func:`probabilities_cosine_form` expands a population
+into its double cosine sum, and :func:`trajectory_to_csv_rows` is the
+row-at-a-time CSV serializer that ``analytic.trajectory_to_csv`` must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ import math
 
 import numpy as np
 
+from degenpop.analytic import amplitudes_many
 from degenpop.control import design_3state
 from degenpop.errors import (DegenerateSpectrum, DimensionTooSmall, FirstComponentZero,
                              InvalidQuantumNumbers)
 
+CLOSURE_TOL = 1e-9
 _STRUCT_TOL = 1e-12
 _DISTINCT_TOL = 1e-9
 _SINGULAR_TOL = 1e-12
@@ -372,6 +377,20 @@ def _assemble_3(rows: np.ndarray, z: np.ndarray):
         [x3 - x2, x1 - x3, x2 - x1],
     ]) / det
     return z, rows, m_inv
+
+
+def probabilities_at(basis, action: float) -> np.ndarray:
+    """Populations |a_j|^2 at one action value, closure-checked.
+
+    The populations weighted by the basis's closure weights
+    ``basis.scale**2`` must sum to 1 within CLOSURE_TOL, else
+    ArithmeticError.
+    """
+    p = np.abs(amplitudes_many(basis, [float(action)])[0]) ** 2
+    total = float(basis.scale ** 2 @ p)
+    if abs(total - 1.0) > CLOSURE_TOL:
+        raise ArithmeticError(f"closure sum {total!r} deviates from 1")
+    return p
 
 
 def probabilities_cosine_form(basis, action: float, state: int) -> float:

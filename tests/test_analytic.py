@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (delta_kick_response, flat_top_quartic, probabilities_2state,
-                     probabilities_cosine_form, probabilities_nstate_sym,
-                     trajectory_to_csv_rows)
+from oracles import (CLOSURE_TOL, delta_kick_response, flat_top_quartic,
+                     probabilities_2state, probabilities_at, probabilities_cosine_form,
+                     probabilities_nstate_sym, trajectory_to_csv_rows)
 from scipy.linalg import expm
 
 from degenpop import analytic
 from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_many,
-                               flatness_frequency, leakage_estimate,
-                               probabilities_at, trajectory, trajectory_rows,
-                               trajectory_to_csv, write_csv)
+                               flatness_frequency, leakage_estimate, trajectory,
+                               trajectory_rows, trajectory_to_csv, write_csv)
 from degenpop.control import design_3state, pulse_for_design
 from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)
@@ -98,6 +97,37 @@ def test_probabilities_closure_check_rejects_bad_weight():
     # the same phase weights read with multiplicity 2 instead of 4
     with pytest.raises(ArithmeticError):
         probabilities_at(replace(b, scale=np.sqrt([1.0, 1.0, 2.0])), 1.3)
+
+
+PIN_MODELS = {
+    "2state": standard_2state(0.0, 0.3, PULSE),
+    "3state-design": standard_3state(-2.530, 1.0, np.zeros(3), HarmonicPulse(1.656, 1.0)),
+    "3state-eps": standard_3state(0.4, 0.9, [0.0, 0.2, -0.1], HarmonicPulse(2.0, 1.3)),
+    "nstate": symmetric_nstate(6, -1.0, 0.0, PULSE),
+    "kick": standard_2state(0.0, 0.0, DeltaKickPulse(0.5 * math.pi, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_MODELS))
+def test_probabilities_at_is_the_propagated_row_and_closure_rule(name):
+    model = PIN_MODELS[name]
+    basis = decompose_general(model)
+    # the same phase weights read with the wrong multiplicities, which the
+    # closure rule must catch wherever the weighted states are populated
+    tampered = replace(basis, scale=np.sqrt(np.arange(1.0, model.n + 1.0)))
+    for t in (0.0, 0.4, 1.0, 2.7, 11.0):
+        traj = trajectory(model, basis, [t])
+        assert (probabilities_at(basis, model.pulse.action(t)).tobytes()
+                == traj.probabilities[0].tobytes())
+        for b, closure in ((basis, traj.closure),
+                           (tampered, traj.probabilities @ tampered.scale ** 2)):
+            try:
+                probabilities_at(b, model.pulse.action(t))
+                closed = True
+            except ArithmeticError:
+                closed = False
+            assert closed == (replace(traj, closure=closure).closure_error <= CLOSURE_TOL)
+        assert traj.closure_error <= CLOSURE_TOL
 
 
 def test_cosine_form_matches_squared_amplitudes():

@@ -555,6 +555,15 @@ def test_table_prints_thirteen_designs(capsys):
     assert capsys.readouterr().out == TABLE_30
 
 
+def test_table_past_the_product_bound_exits_two_before_enumerating(capsys, monkeypatch):
+    products = []
+    monkeypatch.setattr(cli.control, "enumerate_designs", lambda p: products.append(p) or [])
+    assert cli.main(["table", "--max-product", "1000001"]) == 2
+    assert capsys.readouterr() == ("", "error: --max-product must be at most 1000000\n")
+    assert cli.main(["table", "--max-product", "1000000"]) == 0
+    assert products == [10 ** 6]
+
+
 @pytest.mark.parametrize("argv,line", [
     (["n-state", "--n", "4", "--n0", "1", "--n1", "3"],
      "degenpop: error: unrecognized arguments: --n1 3"),
@@ -645,6 +654,31 @@ def test_streamed_summary_and_csv_are_the_whole_trajectory_ones(
         f"t0={traj.times[idx]:.17g} P2(t0)={traj.probabilities[idx, 1]:.17g} "
         f"closure_max_err={np.max(np.abs(traj.closure - 1.0)):.17g}\n")
     assert (tmp_path / "out.csv").read_bytes() == analytic.trajectory_to_csv(traj).encode()
+
+
+ROW_SOURCE_MODELS = {2: {"n": 2, "eps": [0.1, -0.2]},
+                     3: {"n": 3, "alpha": 0.3, "beta": 1.0},
+                     5: {"n": 5, "alpha": -0.2, "beta": 1.0, "eps": 0.1}}
+
+
+@pytest.mark.parametrize("samples", [1, 4097, 8193])  # 8193: a one-row last block
+@pytest.mark.parametrize("n", sorted(ROW_SOURCE_MODELS))
+def test_csv_and_json_runs_read_one_row_source(tmp_path, capsys, n, samples):
+    summaries = {}
+    for fmt in ("csv", "json"):
+        config = write_config(tmp_path, mode="analytic", run={"t_end": 6.0, "samples": samples},
+                              output={"path": str(tmp_path / f"out.{fmt}"), "format": fmt})
+        raw = json.loads(config.read_text())
+        raw["model"] = ROW_SOURCE_MODELS[n]
+        config.write_text(json.dumps(raw))
+        assert cli.main(["--config", str(config), "simulate"]) == 0
+        summaries[fmt] = capsys.readouterr().out
+    assert summaries["csv"] == summaries["json"]
+    lines = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    table = np.array([[float(v) for v in line.split(",")] for line in lines])
+    doc = json.loads((tmp_path / "out.json").read_text())
+    for key, column in (("t", table[:, 0]), ("P", table[:, 1:-1]), ("closure", table[:, -1])):
+        assert np.array(doc[key]).tobytes() == column.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 6])
