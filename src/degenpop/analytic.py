@@ -6,18 +6,16 @@ Starting from state 1 the bare amplitudes at action A are
     a(A) = e_1 + D^-1 Q (e^{-izA} - 1) Q^T e_1 = e_1 + m_inv (e^{-izA} - 1),
 
 with ``S = D r D^-1 = Q diag(z) Q^T`` the symmetrized strength matrix
-(see :mod:`degenpop.dressed`).  Propagation is one complex
-matrix-vector product per requested action value.  Written around
-``e^{-izA} - 1`` the sum returns ``e_1`` exactly at A = 0.
+(see :mod:`degenpop.dressed`).  Written around ``e^{-izA} - 1`` the sum
+returns ``e_1`` exactly at A = 0.
 
-Every row depends on its own time alone, so a run need not be held whole:
-:func:`trajectory_rows` propagates any rows on demand, bitwise as
-:func:`trajectory` gives them on the whole grid.  :func:`write_csv` spreads
-the CSV's blocks over up to one forked worker per usable CPU, and each
-process propagates and formats only its own blocks, so workers call BLAS.
-That is safe with OpenBLAS's pthreads build, which shuts its thread pool
-down in a fork handler; a worker starts with no BLAS thread to inherit.
-The bytes are identical for any worker count.
+Each row's n phase terms are summed in index order, elementwise, so its
+bits depend on its own time alone, not on how many rows are propagated
+with it: a run need not be held whole.  :func:`trajectory_rows`
+propagates any rows on demand, bitwise as :func:`trajectory` gives them
+on the whole grid, and :func:`write_csv` spreads the CSV's blocks over up
+to one forked worker per usable CPU, each propagating and formatting only
+its own blocks.  The bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -35,11 +33,8 @@ from .dressed import DressedBasis
 from .errors import DomainError, OutOfDomain
 from .pulses import action_values
 
-# rows per write_csv block, propagated in one call and formatted by one %.
-# Formatting speed is flat from 2048 to 16384 rows; at n <= 3, 4096 keeps a
-# block's complex product below OpenBLAS's threading threshold (8192 rows are
-# threaded), and a threaded call made while every core formats a range waits
-# ~12 ms for its helper thread
+# rows per write_csv block, propagated in one call and formatted by one %:
+# a process holds one block; formatting speed is flat from 2048 to 16384 rows
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -73,11 +68,18 @@ class Trajectory:
 def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     """Bare amplitudes at many action values; rows index the actions."""
     actions = np.asarray(actions, dtype=float).ravel()
-    phases = np.exp(-1j * (actions[:, None] * basis.z))
+    # (state, row) layout, each row summed over its phases in index order,
+    # elementwise; the real weights scale the float view (re, im, ...) of a
+    # phase row with no complex cast
+    phases = np.exp(-1j * (basis.z[:, None] * actions))
     phases -= 1.0
-    amps = phases @ basis.m_inv.T
-    amps[:, 0] += 1.0
-    return amps
+    parts, m = phases.view(float), basis.m_inv
+    amps = m[:, :1] * parts[0]
+    for i in range(1, basis.n):
+        amps += m[:, i:i + 1] * parts[i]
+    amps = amps.view(complex)
+    amps[0] += 1.0
+    return amps.T.copy()
 
 
 def trajectory(model: CouplingModel, basis: DressedBasis,
@@ -91,35 +93,25 @@ def trajectory(model: CouplingModel, basis: DressedBasis,
     times = _checked_grid(model, times)
     amps = amplitudes_many(basis, action_values(model.pulse, times))
     probs = np.abs(amps) ** 2
-    closure = probs @ model.closure_weights
+    # the closure-weighted sum in index order, as the amplitudes are summed
+    weighted = probs * model.closure_weights
+    closure = weighted[:, 0].copy()
+    for i in range(1, model.n):
+        closure += weighted[:, i]
     return Trajectory(times, amps, probs, closure)
 
 
 def trajectory_rows(model: CouplingModel, basis: DressedBasis, times):
-    """Row source ``rows(lo, hi)`` for :func:`write_csv` that holds only
-    ``times`` and propagates the requested rows on each call.
-
-    ``rows(lo, hi)`` is bitwise ``trajectory(model, basis, times).rows(lo, hi)``:
-    it propagates the whole ``_CSV_BLOCK_ROWS``-aligned blocks that hold the
-    rows, whose rows BLAS rounds as in the whole grid.  A product of one row
-    goes to gemv, which rounds otherwise, so a one-row last block takes the
-    row before it along.  What :func:`trajectory` raises for the model and
-    the grid is raised here, before any row is propagated.
-
-    Above 3 rows a block's product crosses OpenBLAS's threading threshold
-    (about 2 600 block rows at n = 5), so streaming them through
-    :func:`write_csv` on every core can be slower than writing a finished
-    :func:`trajectory`.  The CLI's models reduce to at most 3 rows.
+    """Row source for :func:`write_csv` that holds only ``times``: ``rows(lo, hi)``
+    is ``trajectory(model, basis, times[lo:hi])``, bitwise those rows of
+    ``trajectory(model, basis, times)``.  What :func:`trajectory` raises for
+    the model and the grid is raised here, before any row is propagated.
     """
     times = _checked_grid(model, times)
 
     def rows(lo: int, hi: int) -> Trajectory:
-        first = lo - lo % _CSV_BLOCK_ROWS
-        last = min(-(-hi // _CSV_BLOCK_ROWS) * _CSV_BLOCK_ROWS, times.size)
-        if last - first == 1 and first:
-            first -= 1
         # the module-level name, so a wrapper installed on it sees every block
-        return trajectory(model, basis, times[first:last]).rows(lo - first, hi - first)
+        return trajectory(model, basis, times[lo:hi])
 
     return rows
 
@@ -168,8 +160,7 @@ def write_csv(rows, count: int, fh) -> float:
     first range is handled here, each later one by a forked worker, and
     every process asks ``rows`` only for the blocks it formats: a streamed
     run is propagated once, on every core, and no process holds more than a
-    block of it.  Its workers then call BLAS, which OpenBLAS's fork handler
-    makes safe (module docstring).  A worker writes its text to a temporary file, copied to
+    block of it.  A worker writes its text to a temporary file, copied to
     ``fh`` in order, and sends its closure error through a pipe.  A worker
     that fails raises OSError, and no worker outlives the call.  The bytes
     and the error are the same for any worker count.

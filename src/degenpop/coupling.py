@@ -57,19 +57,19 @@ class CouplingModel:
         energies = np.array(self.energies, dtype=float)
         values = r.ravel().tolist() + eps.ravel().tolist() + energies.ravel().tolist()
         if not all(map(math.isfinite, values)):
-            raise ValueError("r, eps and energies must be finite")
+            raise DomainError("r, eps and energies must be finite")
         if self.n < 1 or r.shape != (self.n, self.n):
-            raise ValueError("r must be n-by-n with n >= 1")
+            raise DomainError("r must be n-by-n with n >= 1")
         if eps.shape != (self.n,) or energies.shape != (self.n,):
-            raise ValueError("eps and energies must have length n")
+            raise DomainError("eps and energies must have length n")
         w = [1.0] * self.n
         m = self.reduced_multiplicity
         if m is not None:
             if self.n != 3:
-                raise ValueError("reduced symmetric form has exactly 3 rows")
+                raise DomainError("reduced symmetric form has exactly 3 rows")
             m = _as_count(m, "reduced_multiplicity")
             if m < 2:
-                raise ValueError("reduced_multiplicity must be an integer >= 2")
+                raise DomainError("reduced_multiplicity must be an integer >= 2")
             object.__setattr__(self, "reduced_multiplicity", m)
             w[2] = float(m)
         # one pass over r checks the rule and builds D r D^-1 as the mean of
@@ -85,8 +85,8 @@ class CouplingModel:
                 broken |= not abs(wi * row[j] - w[j] * r_ji) <= _STRUCT_TOL
                 s[i][j] = s[j][i] = 0.5 * (row[j] * di / d[j] + r_ji * d[j] / di)
         if broken:
-            raise ValueError("r breaks the structure rule: diag(w) r symmetric, "
-                             "diag(r) = eps + (w - 1)/w")
+            raise DomainError("r breaks the structure rule: diag(w) r symmetric, "
+                              "diag(r) = eps + (w - 1)/w")
         for name, a in (("r", r), ("eps", eps), ("energies", energies),
                         ("closure_weights", np.array(w)), ("_symmetric", np.array(s))):
             a.setflags(write=False)
@@ -118,7 +118,7 @@ def standard_3state(alpha: float, beta: float, eps, pulse: Pulse) -> CouplingMod
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (3,):
-        raise ValueError("eps must have length 3")
+        raise DomainError("eps must have length 3")
     r = np.array([
         [eps[0], alpha, beta],
         [alpha, eps[1], 1.0],

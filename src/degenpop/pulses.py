@@ -22,7 +22,8 @@ from typing import Any, ClassVar
 
 import numpy as np
 
-from .errors import OutOfDomain, PointwiseUndefined, Unattainable
+from .errors import (ConfigError, DomainError, OutOfDomain, PointwiseUndefined,
+                     Unattainable)
 
 ACTION_SOLVE_TOL = 1e-12
 # a smooth envelope is sampled at least this many times per period
@@ -119,7 +120,7 @@ class HarmonicPulse(Pulse):
     def __post_init__(self) -> None:
         _require_finite(chi=self.chi, omega=self.omega)
         if not self.omega > 0:
-            raise ValueError("omega must be positive")
+            raise DomainError("omega must be positive")
 
     @property
     def period(self) -> float:
@@ -173,7 +174,7 @@ class DeltaKickPulse(Pulse):
     def __post_init__(self) -> None:
         _require_finite(A0=self.area, t0=self.center)
         if not self.center > 0:
-            raise ValueError("kick center must be positive")
+            raise DomainError("kick center must be positive")
 
     @property
     def peak(self) -> float:
@@ -219,9 +220,9 @@ class RectKickPulse(Pulse):
     def __post_init__(self) -> None:
         _require_finite(A0=self.area, t0=self.center, width=self.width)
         if not self.width > 0:
-            raise ValueError("width must be positive")
+            raise DomainError("width must be positive")
         if self.center - 0.5 * self.width < 0:
-            raise ValueError("kick support must lie in t >= 0")
+            raise DomainError("kick support must lie in t >= 0")
 
     @property
     def left(self) -> float:
@@ -278,11 +279,11 @@ class SampledPulse(Pulse):
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values_, dtype=float)
         if t.ndim != 1 or v.shape != t.shape or t.size < 2:
-            raise ValueError("need matching 1-d arrays with at least 2 samples")
+            raise DomainError("need matching 1-d arrays with at least 2 samples")
         if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise ValueError("pulse parameters must be finite: samples")
+            raise DomainError("pulse parameters must be finite: samples")
         if not np.all(np.diff(t) > 0):
-            raise ValueError("sample times must be strictly increasing")
+            raise DomainError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values_", v)
         # cumulative integral of the interpolant from the first sample
@@ -301,8 +302,7 @@ class SampledPulse(Pulse):
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = _check_times(t)
-        out = np.interp(t, self.times, self.values_)
-        return np.where((t < self.times[0]) | (t > self.times[-1]), 0.0, out)
+        return np.interp(t, self.times, self.values_, left=0.0, right=0.0)
 
     def _integral_from_first_sample(self, t: np.ndarray) -> np.ndarray:
         """Integral of the interpolant over [times[0], t], clamped to the range."""
@@ -351,13 +351,13 @@ class SampledPulse(Pulse):
     def from_dict(cls, d: dict[str, Any]) -> "SampledPulse":
         if "samples" not in d:
             if "samples_file" not in d:
-                raise ValueError(f"{cls.kind} pulse needs samples or samples_file")
+                raise ConfigError(f"{cls.kind} pulse needs samples or samples_file")
             return load_sampled_csv(d["samples_file"])
         samples = np.asarray(d["samples"])
         # NumPy reads a boolean among numbers as 0 or 1; it is not a number
         if (samples.dtype.kind not in "iuf" or samples.shape[1:] != (2,)
                 or any(isinstance(x, bool) for pair in d["samples"] for x in pair)):
-            raise ValueError("samples must be [t, V] pairs of numbers")
+            raise ConfigError("samples must be [t, V] pairs of numbers")
         return cls(samples[:, 0], samples[:, 1])
 
 
@@ -385,19 +385,22 @@ def load_sampled_csv(path) -> SampledPulse:
     """Read a sampled envelope from CSV with header ``t,V``; blank lines
     are skipped and every other row holds exactly the two fields."""
     if not isinstance(path, (str, os.PathLike)):
-        raise ValueError(f"samples_file must be a path string, not {path!r}")
+        raise ConfigError(f"samples_file must be a path string, not {path!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t", "V"]:
-            raise ValueError("expected CSV header 't,V'")
+            raise ConfigError("expected CSV header 't,V'")
         rows = [r for r in reader if r]
     bad = next((r for r in rows if len(r) != 2), None)
     if bad is not None:
-        raise ValueError(f"samples_file row {bad} must hold the two fields t,V")
-    rows = [(float(t), float(v)) for t, v in rows]
+        raise ConfigError(f"samples_file row {bad} must hold the two fields t,V")
+    try:
+        rows = [(float(t), float(v)) for t, v in rows]
+    except ValueError as exc:
+        raise ConfigError(f"samples_file values must be numbers: {exc}") from None
     if len(rows) < 2:
-        raise ValueError("need at least 2 samples")
+        raise ConfigError("need at least 2 samples")
     t, v = zip(*rows)
     return SampledPulse(np.array(t), np.array(v))
 
@@ -411,7 +414,7 @@ def _check_times(t: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(**params) -> None:
-    """Raises ValueError naming every parameter that is not a finite real number."""
+    """Raises DomainError naming every parameter that is not a finite real number."""
     bad = []
     for name, value in params.items():
         try:  # a value that is not real, or an int past float range, is not finite
@@ -420,4 +423,4 @@ def _require_finite(**params) -> None:
         except (TypeError, OverflowError):
             bad.append(name)
     if bad:
-        raise ValueError(f"pulse parameters must be finite: {', '.join(bad)}")
+        raise DomainError(f"pulse parameters must be finite: {', '.join(bad)}")

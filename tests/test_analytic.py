@@ -358,7 +358,7 @@ def test_trajectory_csv_matches_row_oracle_across_blocks(n, tmp_path):
                        for lo, hi in zip(cuts, cuts[1:])) == text
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_block_slices_propagate_bitwise_as_the_whole_grid(n):
     # the invariant write_csv's streamed rows rest on
     b = _CSV_BLOCK_ROWS
@@ -370,17 +370,46 @@ def test_block_slices_propagate_bitwise_as_the_whole_grid(n):
         rows = trajectory_rows(model, basis, times)
         for lo in range(0, count, b):
             hi = min(lo + b, count)
-            pieces = [rows(lo, hi)]
-            if hi - lo > 1 or lo == 0:  # one row alone is multiplied by gemv
-                pieces.append(trajectory(model, basis, times[lo:hi]))
-            for piece in pieces:
-                assert np.array_equal(piece.times, times[lo:hi])
-                assert np.array_equal(piece.amplitudes, whole.amplitudes[lo:hi])
-                assert np.array_equal(piece.probabilities, whole.probabilities[lo:hi])
-                assert np.array_equal(piece.closure, whole.closure[lo:hi])
+            for piece in (rows(lo, hi), trajectory(model, basis, times[lo:hi])):
+                _assert_rows_are(piece, whole, lo, hi)
         for k in {0, b - 1, b, count // 2, count - 1}:
             if k < count:
                 assert np.array_equal(rows(k, k + 1).amplitudes, whole.amplitudes[k:k + 1])
+
+
+def _assert_rows_are(piece, whole, lo, hi):
+    assert np.array_equal(piece.times, whole.times[lo:hi])
+    assert np.array_equal(piece.amplitudes, whole.amplitudes[lo:hi])
+    assert np.array_equal(piece.probabilities, whole.probabilities[lo:hi])
+    assert np.array_equal(piece.closure, whole.closure[lo:hi])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("count", [4097, 8193])
+def test_any_cut_propagates_bitwise_as_the_whole_grid(n, count):
+    # a row's rounding depends on that row alone: random cuts, single rows
+    # anywhere, and a one-row last block
+    model = _random_model(n)
+    basis = decompose_general(model)
+    times = np.linspace(0.0, 7.0, count)
+    whole = trajectory(model, basis, times)
+    rows = trajectory_rows(model, basis, times)
+    rng = np.random.default_rng(count + n)
+    cuts = np.unique(np.concatenate([[0, count - 1, count], rng.integers(0, count, 12)]))
+    singles = np.concatenate([[0, count - 1], rng.integers(0, count, 24)])
+    for lo, hi in [*zip(cuts, cuts[1:]), *zip(singles, singles + 1)]:
+        _assert_rows_are(rows(lo, hi), whole, lo, hi)
+        _assert_rows_are(trajectory(model, basis, times[lo:hi]), whole, lo, hi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 12])
+def test_one_action_is_bitwise_its_row_of_a_batch(n):
+    basis = decompose_general(_random_model(n))
+    actions = np.random.default_rng(n).uniform(-9.0, 9.0, 300)
+    batch = amplitudes_many(basis, actions)
+    assert batch.flags.c_contiguous and batch.shape == (300, n)
+    for k in range(0, 300, 7):
+        assert np.array_equal(amplitudes_many(basis, [actions[k]]), batch[k:k + 1])
 
 
 def test_trajectory_rows_raises_before_propagating(monkeypatch):

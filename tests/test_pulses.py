@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from degenpop.errors import OutOfDomain, PointwiseUndefined, Unattainable
+from degenpop.coupling import CouplingModel, standard_3state
+from degenpop.errors import (ConfigError, DegenpopError, DomainError, OutOfDomain,
+                             PointwiseUndefined, Unattainable)
 from degenpop.pulses import (ACTION_SOLVE_TOL, DeltaKickPulse, HarmonicPulse,
                              RectKickPulse, SampledPulse, action_values,
                              load_sampled_csv)
@@ -319,3 +321,65 @@ def test_sampled_csv_path_must_be_a_path():
 def test_sampled_dict_without_samples_names_both_keys():
     with pytest.raises(ValueError, match="samples or samples_file"):
         SampledPulse.from_dict({"kind": "custom_sampled"})
+
+
+def _csv(text):
+    def load(tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        return load_sampled_csv(path)
+    return load
+
+
+_HARMONIC = HarmonicPulse(chi=1.0, omega=1.0)
+_Z2, _R2 = np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+# every rejection of a model or pulse parameter (DomainError) and of the
+# samples/samples_file format (ConfigError)
+_REJECTIONS = {
+    "r-not-finite": (DomainError, "must be finite",
+                     lambda _: CouplingModel(2, [[math.nan, 1.0], [1.0, 0.0]], _Z2, _Z2,
+                                             _HARMONIC)),
+    "r-shape": (DomainError, "n-by-n",
+                lambda _: CouplingModel(2, np.zeros((3, 3)), _Z2, _Z2, _HARMONIC)),
+    "eps-length": (DomainError, "length n",
+                   lambda _: CouplingModel(2, _R2, np.zeros(3), _Z2, _HARMONIC)),
+    "reduced-rows": (DomainError, "exactly 3 rows",
+                     lambda _: CouplingModel(2, _R2, _Z2, _Z2, _HARMONIC,
+                                             reduced_multiplicity=2)),
+    "reduced-multiplicity": (DomainError, ">= 2",
+                             lambda _: CouplingModel(3, np.eye(3), np.ones(3), np.zeros(3),
+                                                     _HARMONIC, reduced_multiplicity=1)),
+    "structure-rule": (DomainError, "structure rule",
+                       lambda _: CouplingModel(2, [[0.0, 1.0], [2.0, 0.0]], _Z2, _Z2,
+                                               _HARMONIC)),
+    "3state-eps": (DomainError, "length 3",
+                   lambda _: standard_3state(0.3, 1.0, [0.0, 0.0], _HARMONIC)),
+    "not-finite": (DomainError, "finite: chi", lambda _: HarmonicPulse(math.nan, 1.0)),
+    "omega": (DomainError, "omega", lambda _: HarmonicPulse(1.0, 0.0)),
+    "kick-center": (DomainError, "center", lambda _: DeltaKickPulse(1.0, 0.0)),
+    "kick-width": (DomainError, "width", lambda _: RectKickPulse(1.0, 1.0, 0.0)),
+    "kick-support": (DomainError, "support", lambda _: RectKickPulse(1.0, 0.1, 1.0)),
+    "samples-shape": (DomainError, "at least 2", lambda _: SampledPulse([0.0], [1.0])),
+    "samples-finite": (DomainError, "finite: samples",
+                       lambda _: SampledPulse([0.0, math.nan], [1.0, 1.0])),
+    "samples-order": (DomainError, "increasing",
+                      lambda _: SampledPulse([1.0, 0.0], [1.0, 1.0])),
+    "no-samples": (ConfigError, "samples or samples_file",
+                   lambda _: SampledPulse.from_dict({"kind": "custom_sampled"})),
+    "samples-pairs": (ConfigError, "pairs of numbers",
+                      lambda _: SampledPulse.from_dict({"samples": [[0, True], [1, 1]]})),
+    "file-path": (ConfigError, "path string", lambda _: load_sampled_csv(3)),
+    "file-header": (ConfigError, "header", _csv("time,value\n0,1\n1,1\n")),
+    "file-fields": (ConfigError, "two fields", _csv("t,V\n0,1,2\n1,1\n")),
+    "file-numbers": (ConfigError, "must be numbers", _csv("t,V\n0,a\n1,1\n")),
+    "file-one-sample": (ConfigError, "at least 2 samples", _csv("t,V\n0,1\n")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTIONS))
+def test_every_parameter_rejection_is_a_typed_value_error(name, tmp_path):
+    kind, message, build = _REJECTIONS[name]
+    with pytest.raises(kind, match=message) as info:
+        build(tmp_path)
+    # DomainError and ConfigError keep ValueError's exit code 2 at the CLI
+    assert isinstance(info.value, DegenpopError) and isinstance(info.value, ValueError)
