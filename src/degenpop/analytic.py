@@ -52,6 +52,18 @@ class Trajectory:
     probabilities: np.ndarray
     closure: np.ndarray
 
+    @classmethod
+    def from_amplitudes(cls, times, amps, weights) -> Trajectory:
+        """The trajectory of bare amplitudes ``amps`` on ``times``; its
+        closure sums the weighted populations in index order, elementwise,
+        so a row's closure depends on that row alone and on no BLAS build."""
+        probs = np.abs(amps) ** 2
+        weighted = probs * weights
+        closure = weighted[:, 0].copy()
+        for i in range(1, weighted.shape[1]):
+            closure += weighted[:, i]
+        return cls(times, amps, probs, closure)
+
     def rows(self, lo: int, hi: int) -> Trajectory:
         """Rows ``lo`` up to (not including) ``hi`` as views; a row source
         for :func:`write_csv`."""
@@ -92,13 +104,7 @@ def trajectory(model: CouplingModel, basis: DressedBasis,
     """
     times = _checked_grid(model, times)
     amps = amplitudes_many(basis, action_values(model.pulse, times))
-    probs = np.abs(amps) ** 2
-    # the closure-weighted sum in index order, as the amplitudes are summed
-    weighted = probs * model.closure_weights
-    closure = weighted[:, 0].copy()
-    for i in range(1, model.n):
-        closure += weighted[:, i]
-    return Trajectory(times, amps, probs, closure)
+    return Trajectory.from_amplitudes(times, amps, model.closure_weights)
 
 
 def trajectory_rows(model: CouplingModel, basis: DressedBasis, times):

@@ -188,11 +188,15 @@ def test_sampled_pulse_degenerate_limit_matches_analytic():
     assert np.max(np.abs(traj.probabilities - ref.probabilities)) < 1e-12
 
 
-def test_many_steps_degenerate_harmonic_matches_analytic():
-    # 20000 steps span several propagator chunks and blocks
+@pytest.mark.parametrize("steps", [4095, 4096, 4097, 8193, 20000])
+def test_many_steps_degenerate_harmonic_matches_analytic(steps):
+    # one step short of, at, and just past a propagator chunk, a one-step
+    # last chunk, and several chunks and blocks
+    assert numeric._CHUNK_STEPS == 4096
     model = standard_3state(0.5, 1.0, np.zeros(3), HarmonicPulse(1.0, 1.0))
     dt = resolution_bound(model)
-    traj = integrate(model, dt, 20000 * dt)
+    traj = integrate(model, dt, steps * dt)
+    assert traj.times.size == steps + 1
     ref = trajectory(model, decompose_general(model), traj.times)
     assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) < 1e-9
 
@@ -203,6 +207,59 @@ def test_closure_drift_after_20000_steps():
     traj = integrate(model, dt, 20000 * dt)
     assert traj.times.size == 20001
     assert np.max(np.abs(traj.closure - 1.0)) <= 3e-11
+
+
+def test_closure_sums_the_weighted_populations_in_index_order():
+    model = split_reduced_5state()
+    traj = integrate(model, resolution_bound(model), 2.0)
+    p, w = traj.probabilities, model.closure_weights
+    assert w[2] != w[0]  # the reduced manifold row carries its multiplicity
+    assert np.array_equal(traj.closure, p[:, 0] * w[0] + p[:, 1] * w[1] + p[:, 2] * w[2])
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# (batch of a, batch of b, columns of b): _cf4's and the running products'
+# stacked steps, and _prefix_states' (blocks, size) steps against its
+# (blocks, 1) entering states
+PRODUCT_SHAPES = {"stacked": ((7,), (7,), None), "entering": ((4, 5), (4, 1), 1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("shapes", PRODUCT_SHAPES.values(), ids=PRODUCT_SHAPES.keys())
+def test_product_is_matmul(n, shapes):
+    rng = np.random.default_rng(n)
+    a_batch, b_batch, cols = shapes
+    a_shape, b_shape = (*a_batch, n, n), (*b_batch, n, cols or n)
+    ints = (rng.integers(-9, 10, a_shape) + 1j * rng.integers(-9, 10, a_shape),
+            rng.integers(-9, 10, b_shape) + 1j * rng.integers(-9, 10, b_shape))
+    # small integers: every product and sum is exact, so the order cannot show
+    assert np.array_equal(numeric._product(*ints), np.matmul(*ints))
+    a, b = random_complex(rng, a_shape), random_complex(rng, b_shape)
+    # a transposed view, as _propagators passes Q^T
+    for rhs in (b, b.swapaxes(-1, -2).copy().swapaxes(-1, -2)):
+        got, ref = numeric._product(a, rhs), np.matmul(a, rhs)
+        assert got.shape == ref.shape
+        norms = (np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+                 * np.linalg.norm(rhs, axis=(-2, -1), keepdims=True))
+        assert np.all(np.abs(got - ref) <= 1e-15 * norms)
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 4, 5, 16, 17, 31])
+@pytest.mark.parametrize("n", [2, 3])
+def test_prefix_states_is_the_sequential_product(total, n):
+    rng = np.random.default_rng(total)
+    steps = np.linalg.qr(random_complex(rng, (total, n, n)))[0]
+    b0 = random_complex(rng, n)
+    b, ref = b0, []
+    for u in steps:
+        b = u @ b
+        ref.append(b)
+    got = numeric._prefix_states(steps, b0)
+    assert got.shape == (total, n)
+    assert np.max(np.abs(got - np.array(ref))) < 1e-14
 
 
 @pytest.mark.parametrize("pulse, t_end, dt", [
