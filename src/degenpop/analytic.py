@@ -1,4 +1,4 @@
-"""Closed-form propagation in the dressed basis, its CSV, and two scan formulas.
+"""Closed-form propagation in the dressed basis, its CSV, and the flatness frequency.
 
 The whole time dependence enters through the envelope action A(t).
 Starting from state 1 the bare amplitudes at action A are
@@ -243,19 +243,6 @@ def _fork_writer(rows, count: int, starts: range, fd: int, pipe: int) -> int | N
         status = 0
     finally:
         os._exit(status)
-
-
-def leakage_estimate(omega21: float, omega: float) -> float:
-    """Order-of-magnitude bound on the off-resonant population loss.
-
-    Treats the detuned neighbor as accumulating phase-slip amplitude of
-    order ``(pi/2)^3 omega21 / omega`` over the transfer; squaring gives
-    ``(1/4) (pi/2)^6 (omega21/omega)^2 = 3.755 r^2`` with
-    ``r = omega21/omega``.  The loss that propagation gives, 0.1654 r^2
-    from :func:`degenpop.numeric.leakage_scan` for the two-state harmonic
-    transfer, is 22.7 times smaller.
-    """
-    return 0.25 * (np.pi / 2.0) ** 6 * (omega21 / omega) ** 2
 
 
 def flatness_frequency(p_cr: float, t_s: float) -> float:

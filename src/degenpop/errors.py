@@ -3,6 +3,11 @@
 Domain- and value-style failures subclass ``ValueError`` so that generic
 callers can still catch them the usual way.  The command line exits 2 on
 any ``ValueError``; the other ``DegenpopError`` types exit 3.
+
+Nothing in the package raises :class:`DegenerateSpectrum` or
+:class:`FirstComponentZero`, so ``degenpop`` does not export them; the
+closed-form test oracles raise them and the benchmark checks for them,
+both importing them from this module.
 """
 
 

@@ -13,9 +13,10 @@ of its fields is not a number.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
+import re
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, ClassVar
@@ -28,6 +29,8 @@ from .errors import (ConfigError, DomainError, OutOfDomain, PointwiseUndefined,
 ACTION_SOLVE_TOL = 1e-12
 # a smooth envelope is sampled at least this many times per period
 STEPS_PER_PERIOD = 200.0
+# a samples_file header: t,V, each name padded with whitespace or double-quoted at will
+_HEADER = re.compile(r'\s*("?)\s*t\s*\1\s*,\s*("?)\s*V\s*\2\s*')
 
 
 class Pulse(ABC):
@@ -120,7 +123,7 @@ class HarmonicPulse(Pulse):
     def __post_init__(self) -> None:
         _require_finite(chi=self.chi, omega=self.omega)
         if not self.omega > 0:
-            raise DomainError("omega must be positive")
+            raise DomainError(f"omega must be positive: omega={self.omega}")
 
     @property
     def period(self) -> float:
@@ -174,7 +177,7 @@ class DeltaKickPulse(Pulse):
     def __post_init__(self) -> None:
         _require_finite(A0=self.area, t0=self.center)
         if not self.center > 0:
-            raise DomainError("kick center must be positive")
+            raise DomainError(f"kick center must be positive: t0={self.center}")
 
     @property
     def peak(self) -> float:
@@ -220,9 +223,10 @@ class RectKickPulse(Pulse):
     def __post_init__(self) -> None:
         _require_finite(A0=self.area, t0=self.center, width=self.width)
         if not self.width > 0:
-            raise DomainError("width must be positive")
+            raise DomainError(f"width must be positive: width={self.width}")
         if self.center - 0.5 * self.width < 0:
-            raise DomainError("kick support must lie in t >= 0")
+            raise DomainError(
+                f"kick support must lie in t >= 0: t0={self.center}, width={self.width}")
 
     @property
     def left(self) -> float:
@@ -349,11 +353,14 @@ class SampledPulse(Pulse):
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SampledPulse":
-        if "samples" not in d:
-            if "samples_file" not in d:
-                raise ConfigError(f"{cls.kind} pulse needs samples or samples_file")
+        if ("samples" in d) == ("samples_file" in d):
+            raise ConfigError(f"{cls.kind} pulse needs exactly one of samples or samples_file")
+        if "samples_file" in d:
             return load_sampled_csv(d["samples_file"])
-        samples = np.asarray(d["samples"])
+        try:
+            samples = np.asarray(d["samples"])
+        except ValueError:  # ragged pairs, which are not numbers either
+            samples = np.empty(0, dtype=object)
         # NumPy reads a boolean among numbers as 0 or 1; it is not a number
         if (samples.dtype.kind not in "iuf" or samples.shape[1:] != (2,)
                 or any(isinstance(x, bool) for pair in d["samples"] for x in pair)):
@@ -382,27 +389,29 @@ def _at_branch_start(target: float, a_hi: float) -> bool:
 
 
 def load_sampled_csv(path) -> SampledPulse:
-    """Read a sampled envelope from CSV with header ``t,V``; blank lines
-    are skipped and every other row holds exactly the two fields."""
+    """Read a sampled envelope from CSV: the header ``t,V``, then at least
+    two rows of the two fields ``t,V``, each a decimal number, padded with
+    whitespace or wrapped in double quotes at will.  Empty lines are
+    skipped, there are no comments, any line ending is accepted, and
+    :class:`SampledPulse` checks the values."""
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigError(f"samples_file must be a path string, not {path!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "V"]:
+    with open(path) as fh:
+        if not _HEADER.fullmatch(fh.readline()):
             raise ConfigError("expected CSV header 't,V'")
-        rows = [r for r in reader if r]
-    bad = next((r for r in rows if len(r) != 2), None)
-    if bad is not None:
-        raise ConfigError(f"samples_file row {bad} must hold the two fields t,V")
-    try:
-        rows = [(float(t), float(v)) for t, v in rows]
-    except ValueError as exc:
-        raise ConfigError(f"samples_file values must be numbers: {exc}") from None
+        try:
+            with warnings.catch_warnings():  # a file without rows is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except ValueError as exc:  # numpy names the row and the field
+            rule = ("row must hold the two fields t,V" if "columns" in str(exc)
+                    else "values must be numbers")
+            raise ConfigError(f"samples_file {rule}: {exc}") from None
+    if rows.shape[1] != 2 and rows.size:
+        raise ConfigError(f"samples_file rows must hold the two fields t,V, not {rows.shape[1]}")
     if len(rows) < 2:
         raise ConfigError("need at least 2 samples")
-    t, v = zip(*rows)
-    return SampledPulse(np.array(t), np.array(v))
+    return SampledPulse(rows[:, 0], rows[:, 1])
 
 
 def _check_times(t: np.ndarray) -> np.ndarray:

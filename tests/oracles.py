@@ -26,20 +26,26 @@ where their closure sum misses 1, the check that ``Trajectory.closure_error``
 reports instead.  :func:`probabilities_cosine_form` expands a population
 into its double cosine sum, and :func:`trajectory_to_csv_rows` is the
 row-at-a-time CSV serializer that ``analytic.trajectory_to_csv`` must match
-byte for byte.
+byte for byte.  :func:`load_sampled_csv_by_rows` is the row-at-a-time
+reader of a sampled envelope file that ``pulses.load_sampled_csv`` must
+match bit for bit, and :func:`leakage_estimate` the order-of-magnitude
+bound that the propagated off-resonant loss must stay below.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import math
+import os
 
 import numpy as np
 
 from degenpop.analytic import amplitudes_many
 from degenpop.control import design_3state
-from degenpop.errors import (DegenerateSpectrum, DimensionTooSmall, FirstComponentZero,
-                             InvalidQuantumNumbers)
+from degenpop.errors import (ConfigError, DegenerateSpectrum, DimensionTooSmall,
+                             FirstComponentZero, InvalidQuantumNumbers)
+from degenpop.pulses import SampledPulse
 
 CLOSURE_TOL = 1e-9
 _STRUCT_TOL = 1e-12
@@ -417,3 +423,41 @@ def trajectory_to_csv_rows(traj) -> str:
         vals = [traj.times[k], *traj.probabilities[k], traj.closure[k]]
         buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
     return buf.getvalue()
+
+
+def load_sampled_csv_by_rows(path) -> SampledPulse:
+    """Read a sampled envelope from CSV with header ``t,V`` by ``csv.reader``
+    and one ``float`` pair per row; blank lines are skipped and every other
+    row holds exactly the two fields."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"samples_file must be a path string, not {path!r}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["t", "V"]:
+            raise ConfigError("expected CSV header 't,V'")
+        rows = [r for r in reader if r]
+    bad = next((r for r in rows if len(r) != 2), None)
+    if bad is not None:
+        raise ConfigError(f"samples_file row {bad} must hold the two fields t,V")
+    try:
+        rows = [(float(t), float(v)) for t, v in rows]
+    except ValueError as exc:
+        raise ConfigError(f"samples_file values must be numbers: {exc}") from None
+    if len(rows) < 2:
+        raise ConfigError("need at least 2 samples")
+    t, v = zip(*rows)
+    return SampledPulse(np.array(t), np.array(v))
+
+
+def leakage_estimate(omega21: float, omega: float) -> float:
+    """Order-of-magnitude bound on the off-resonant population loss.
+
+    Treats the detuned neighbor as accumulating phase-slip amplitude of
+    order ``(pi/2)^3 omega21 / omega`` over the transfer; squaring gives
+    ``(1/4) (pi/2)^6 (omega21/omega)^2 = 3.755 r^2`` with
+    ``r = omega21/omega``.  The loss that propagation gives, 0.1654 r^2
+    from :func:`degenpop.numeric.leakage_scan` for the two-state harmonic
+    transfer, is 22.7 times smaller.
+    """
+    return 0.25 * (np.pi / 2.0) ** 6 * (omega21 / omega) ** 2

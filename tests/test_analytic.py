@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (CLOSURE_TOL, delta_kick_response, flat_top_quartic,
+from oracles import (CLOSURE_TOL, delta_kick_response, flat_top_quartic, leakage_estimate,
                      probabilities_2state, probabilities_at, probabilities_cosine_form,
                      probabilities_nstate_sym, trajectory_to_csv_rows)
 from scipy.linalg import expm
 
 from degenpop import analytic
 from degenpop.analytic import (_CSV_BLOCK_ROWS, Trajectory, amplitudes_many,
-                               flatness_frequency, leakage_estimate, trajectory,
-                               trajectory_rows, trajectory_to_csv, write_csv)
+                               flatness_frequency, trajectory, trajectory_rows,
+                               trajectory_to_csv, write_csv)
 from degenpop.control import design_3state, pulse_for_design
 from degenpop.coupling import (CouplingModel, standard_2state, standard_3state,
                                symmetric_nstate)

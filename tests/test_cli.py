@@ -397,6 +397,28 @@ def test_integer_samples_file_exits_two_and_leaves_fd_open(tmp_path, capsys, fd)
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("pulse", [
+    {"kind": "custom_sampled", "samples": [[0, 1], [1]]},
+    {"kind": "custom_sampled", "samples": [[0, 1], [1, 1]], "samples_file": "absent.csv"},
+], ids=["ragged", "samples-and-file"])
+def test_malformed_samples_exit_two_and_name_the_key(tmp_path, capsys, pulse):
+    config, raw = write_variant_config(tmp_path, "custom_sampled")
+    raw["pulse"] = pulse
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_kick_support_error_names_the_flags(tmp_path, capsys):
+    out = tmp_path / "kick.csv"
+    argv = ["--out", str(out), "kick", "--A0", "1", "--widths", "0.4", "--t0", "0.1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: kick support must lie in t >= 0: t0=0.1, width=0.4\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,key,value", [
     ("harmonic", "chi", "1.5"),
     ("harmonic", "omega", "1"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import leakage_estimate
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -331,6 +332,15 @@ def test_leakage_scan_matches_dop853():
         model = family(0.0 if math.isinf(ratio) else 1.0 / ratio)
         a2 = dop853(model, np.array([0.0, pulse.quarter_period]))[-1, 1]
         assert abs(loss - (1.0 - abs(a2) ** 2)) < 1e-11
+
+
+@pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
+def test_leakage_scan_loss_stays_below_the_estimate(ratio):
+    # the estimate's prefactor cannot be checked against the paper's body,
+    # so it is pinned only as a bound on the propagated loss
+    pulse = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
+    [(_, loss)] = leakage_scan(standard_2state(0.0, 0.0, pulse), [ratio])
+    assert 0.0 < loss <= leakage_estimate(1.0 / ratio, pulse.omega)
 
 
 @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])

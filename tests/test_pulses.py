@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import load_sampled_csv_by_rows
 from scipy.integrate import quad
 
 from degenpop.coupling import CouplingModel, standard_3state
@@ -70,6 +71,18 @@ def test_rect_width_must_be_positive():
 def test_rect_support_must_be_nonnegative():
     with pytest.raises(ValueError):
         RectKickPulse(area=1.0, center=0.01, width=0.1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HarmonicPulse(1.0, 0.0), "omega must be positive: omega=0.0"),
+    (lambda: DeltaKickPulse(1.0, -0.5), "kick center must be positive: t0=-0.5"),
+    (lambda: RectKickPulse(1.0, 1.0, 0.0), "width must be positive: width=0.0"),
+    (lambda: RectKickPulse(1.0, 0.1, 0.4), "kick support must lie in t >= 0: t0=0.1, width=0.4"),
+], ids=["omega", "kick-center", "kick-width", "kick-support"])
+def test_pulse_domain_errors_name_the_config_key_and_value(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("make, names", [
@@ -313,6 +326,73 @@ def test_sampled_csv_skips_blank_lines(tmp_path):
     assert np.array_equal(load_sampled_csv(path).times, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("rows", [2, 3, 17, 1001, 10_000])
+@pytest.mark.parametrize("fmt", ["{!r}", "{:.17g}"], ids=["repr", "17g"])
+def test_sampled_csv_reads_the_bits_of_the_row_reader(tmp_path, fmt, rows):
+    rng = np.random.default_rng(rows)
+    t = np.cumsum(rng.exponential(size=rows)) * 10.0 ** rng.integers(-6, 6) - rng.random()
+    v = rng.normal(size=rows) * 10.0 ** rng.integers(-320, 300, size=rows)
+    v[:2] = -0.0, 5e-324
+    path = tmp_path / "samples.csv"
+    rows = "".join(f"{fmt.format(a)},{fmt.format(b)}\n" for a, b in zip(t.tolist(), v.tolist()))
+    path.write_text("t,V\n" + rows)
+    new, old = load_sampled_csv(path), load_sampled_csv_by_rows(path)
+    assert new.times.tobytes() == old.times.tobytes() == t.tobytes()
+    assert new.values_.tobytes() == old.values_.tobytes() == v.tobytes()
+
+
+# file text -> the sample times it gives, or the error type and text it raises
+_FORMATS = {
+    "quoted-fields": ('t,V\n"0","1"\n"1",2\n', [0.0, 1.0]),
+    "quoted-header": ('"t","V"\n0,1\n1,2\n', [0.0, 1.0]),
+    "padded": (" t , V \n 0 , 1 \n1,\t2\n", [0.0, 1.0]),
+    "blank-lines": ("t,V\n\n0,1\n\n\n1,2\n\n", [0.0, 1.0]),
+    "crlf": ("t,V\r\n0,1\r\n1,2\r\n", [0.0, 1.0]),
+    "cr": ("t,V\r0,1\r1,2\r", [0.0, 1.0]),
+    "no-final-newline": ("t,V\n0,1\n1,2", [0.0, 1.0]),
+    "signs-exponents": ("t,V\n-1e-3,+2.5E2\n.5,5.\n", [-0.001, 0.5]),
+    "whitespace-line": ("t,V\n0,1\n  \n1,2\n", (ConfigError, "samples_file row")),
+    "three-columns": ("t,V\n0,1,2\n1,2,3\n", (ConfigError, "samples_file row")),
+    "three-columns-one-row": ("t,V\n0,1,2\n", (ConfigError, "samples_file row")),
+    "one-column": ("t,V\n0\n1\n", (ConfigError, "samples_file row")),
+    "empty-field": ("t,V\n0,\n1,2\n", (ConfigError, "must be numbers")),
+    # the first row's numbers are read before its field count
+    "comment-line": ("t,V\n# note\n0,1\n1,2\n", (ConfigError, "must be numbers")),
+    "comment-line-later": ("t,V\n0,1\n# note\n1,2\n", (ConfigError, "samples_file row")),
+    "comment-after-row": ("t,V\n0,1 # note\n1,2\n", (ConfigError, "must be numbers")),
+    "one-row": ("t,V\n0,1\n", (ConfigError, "at least 2 samples")),
+    "header-only": ("t,V\n", (ConfigError, "at least 2 samples")),
+    "blank-lines-only": ("t,V\n\n\n", (ConfigError, "at least 2 samples")),
+    "empty-file": ("", (ConfigError, "header")),
+    "blank-first-line": ("\nt,V\n0,1\n1,2\n", (ConfigError, "header")),
+    "semicolons": ("t;V\n0;1\n1;2\n", (ConfigError, "header")),
+    "unbalanced-header-quote": ('t,V"\n0,1\n1,2\n', (ConfigError, "header")),
+    "not-finite": ("t,V\n0,inf\n1,nan\n", (DomainError, "finite")),
+    "decreasing": ("t,V\n1,0\n0,0\n", (DomainError, "increasing")),
+    # Python's float reads these two, NumPy's parser does not
+    "underscore": ("t,V\n1_0,1\n20,2\n", (ConfigError, "must be numbers")),
+    "fullwidth-digit": ("t,V\n\uff10,1\n1,2\n", (ConfigError, "must be numbers")),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(_FORMATS))
+def test_sampled_csv_format_verdicts(tmp_path, name):
+    text, verdict = _FORMATS[name]
+    path = tmp_path / "samples.csv"
+    path.write_text(text, newline="")
+    if isinstance(verdict, list):
+        assert load_sampled_csv(path).times.tolist() == verdict
+        assert load_sampled_csv_by_rows(path).times.tolist() == verdict
+        return
+    kind, message = verdict
+    with pytest.raises(kind, match=message):
+        load_sampled_csv(path)
+    if name not in ("underscore", "fullwidth-digit"):
+        with pytest.raises(kind):
+            load_sampled_csv_by_rows(path)
+
+
 def test_sampled_csv_path_must_be_a_path():
     with pytest.raises(ValueError, match="samples_file"):
         load_sampled_csv(3)
@@ -368,6 +448,11 @@ _REJECTIONS = {
                    lambda _: SampledPulse.from_dict({"kind": "custom_sampled"})),
     "samples-pairs": (ConfigError, "pairs of numbers",
                       lambda _: SampledPulse.from_dict({"samples": [[0, True], [1, 1]]})),
+    "samples-ragged": (ConfigError, "samples must be",
+                       lambda _: SampledPulse.from_dict({"samples": [[0, 1], [1]]})),
+    "samples-and-file": (ConfigError, "samples or samples_file",  # the file does not exist
+                         lambda tmp: SampledPulse.from_dict({"samples": [[0, 1], [1, 1]],
+                                                             "samples_file": str(tmp / "x")})),
     "file-path": (ConfigError, "path string", lambda _: load_sampled_csv(3)),
     "file-header": (ConfigError, "header", _csv("time,value\n0,1\n1,1\n")),
     "file-fields": (ConfigError, "two fields", _csv("t,V\n0,1,2\n1,1\n")),
