@@ -9,8 +9,8 @@ with ``S = D r D^-1 = Q diag(z) Q^T`` the symmetrized strength matrix
 (see :mod:`degenpop.dressed`).  Written around ``e^{-izA} - 1`` the sum
 returns ``e_1`` exactly at A = 0.
 
-Each row's n phase terms are summed in index order, elementwise, so its
-bits depend on its own time alone, not on how many rows are propagated
+Each row's n phase terms are summed in index order (:func:`dressed._product`),
+so its bits depend on its own time alone, not on how many rows are propagated
 with it: a run need not be held whole.  :func:`trajectory_rows`
 propagates any rows on demand, bitwise as :func:`trajectory` gives them
 on the whole grid, and :func:`write_csv` spreads the CSV's blocks over up
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingModel
-from .dressed import DressedBasis
+from .dressed import DressedBasis, _product
 from .errors import DomainError, OutOfDomain
 from .pulses import action_values
 
@@ -80,16 +80,11 @@ class Trajectory:
 def amplitudes_many(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     """Bare amplitudes at many action values; rows index the actions."""
     actions = np.asarray(actions, dtype=float).ravel()
-    # (state, row) layout, each row summed over its phases in index order,
-    # elementwise; the real weights scale the float view (re, im, ...) of a
-    # phase row with no complex cast
+    # (state, row) layout; the real weights scale the float view (re, im, ...)
+    # of the phase rows with no complex cast
     phases = np.exp(-1j * (basis.z[:, None] * actions))
     phases -= 1.0
-    parts, m = phases.view(float), basis.m_inv
-    amps = m[:, :1] * parts[0]
-    for i in range(1, basis.n):
-        amps += m[:, i:i + 1] * parts[i]
-    amps = amps.view(complex)
+    amps = _product(basis.m_inv, phases.view(float)).view(complex)
     amps[0] += 1.0
     return amps.T.copy()
 
@@ -228,7 +223,7 @@ def _fork_writer(rows, count: int, starts: range, fd: int, pipe: int) -> int | N
     """Pid of a forked worker writing the blocks at ``starts`` to ``fd`` and
     their closure error to ``pipe``, or None when the fork fails.  The
     worker leaves only through ``os._exit``: it never returns into the
-    caller or flushes inherited stdio."""
+    caller or flushes inherited stdio; one that fails names why on fd 2."""
     try:
         pid = os.fork()
     except OSError:
@@ -241,6 +236,8 @@ def _fork_writer(rows, count: int, starts: range, fd: int, pipe: int) -> int | N
             error = _write_blocks(rows, count, starts, out.write)
         os.write(pipe, np.float64(error).tobytes())
         status = 0
+    except Exception as exc:
+        os.write(2, f"error: CSV worker: {type(exc).__name__}: {exc}\n".encode(errors="replace"))
     finally:
         os._exit(status)
 

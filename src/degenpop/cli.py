@@ -25,6 +25,7 @@ exits 2; any other ``DegenpopError`` or an ``ArithmeticError`` exits 3.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import math
@@ -56,7 +57,6 @@ _MAX_ROWS = 10 ** 7
 # largest table --max-product: 10**6 enumerates 1 279 703 designs, which
 # took 9.4 s and a 513 MB peak on a 2-vCPU VM; both grow with the product
 _MAX_PRODUCT = 10 ** 6
-_NEAREST_ROWS = 1 << 16  # times searched at once for the reported row
 
 
 def main(argv=None) -> int:
@@ -339,16 +339,15 @@ def _section(value, where: str, allowed) -> dict:
 
 
 def _nearest(times: np.ndarray, t: float) -> int:
-    """The index ``np.argmin(np.abs(times - t))`` gives for finite ``times``:
-    the first of the times nearest ``t``, found without a temporary as long
-    as the grid."""
-    best, best_dist = 0, math.inf
-    for lo in range(0, times.size, _NEAREST_ROWS):
-        dist = np.abs(times[lo:lo + _NEAREST_ROWS] - t)
-        k = int(np.argmin(dist))
-        if dist[k] < best_dist:
-            best, best_dist = lo + k, dist[k]
-    return best
+    """``np.argmin(np.abs(times - t))``, the first of the times nearest ``t``,
+    for finite non-decreasing ``times`` (as ``np.linspace`` and
+    :func:`numeric.integrate` give them): the distance falls up to ``t``'s
+    insertion point and rises after it, so a bisection finds the least."""
+    i = int(np.searchsorted(times, t))
+    if i == times.size or i and not abs(times[i - 1] - t) > abs(times[i] - t):
+        d = abs(times[i - 1] - t)
+        i = bisect.bisect_left(range(i), True, key=lambda k: not abs(times[k] - t) > d)
+    return i
 
 
 def _csv(header: str, rows) -> str:

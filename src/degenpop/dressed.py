@@ -75,3 +75,13 @@ def eigen_residual(basis: DressedBasis, w: np.ndarray) -> float:
     rows = basis.q.T * basis.scale
     res = rows @ w - basis.z[:, None] * rows
     return float(np.max(np.abs(res)))
+
+
+def _product(a, b):
+    """``a @ b`` over the last two axes, with numpy broadcasting over the
+    others: the inner index is summed in index order, one elementwise
+    multiply and add per term."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out

@@ -25,7 +25,7 @@ rounding, so there is no renormalization and closure drift stays at the
 rounding level.
 
 Every product of the small step matrices is an elementwise sum over the
-inner index in index order (:func:`_product`), not a stacked ``matmul``:
+inner index in index order (:func:`dressed._product`), not a stacked ``matmul``:
 that makes one BLAS call per 2x2 or 3x3 matrix, which costs more than the
 arithmetic.  The batched ``eigh`` is the only library call made per step.
 """
@@ -39,7 +39,7 @@ import numpy as np
 
 from .analytic import Trajectory
 from .coupling import CouplingModel
-from .dressed import decompose_general
+from .dressed import _product, decompose_general
 from .errors import DomainError, GridMismatch, UnresolvedTimescale
 from .pulses import STEPS_PER_PERIOD, HarmonicPulse, RectKickPulse
 
@@ -215,10 +215,10 @@ def _prefix_states(steps, b):
     once, the state entering each block is carried across the blocks one
     at a time, and one batched product then gives every state.  That is
     about 2 sqrt(N) products for N steps, and O(N) work.  Each batched
-    product is :func:`_product`'s n elementwise multiplies and n - 1 adds,
-    so about 2n sqrt(N) numpy calls in all; a stacked ``matmul`` would make
-    one BLAS call per step matrix.  The carry is one plain matrix-vector
-    ``@`` per block, which costs less than :func:`_product`'s 2n - 1 calls.
+    product is :func:`dressed._product`'s n elementwise multiplies and n - 1
+    adds, so about 2n sqrt(N) numpy calls in all; a stacked ``matmul`` would
+    make one BLAS call per step matrix.  The carry is one plain matrix-vector
+    ``@`` per block, which costs less than ``_product``'s 2n - 1 calls.
     """
     total, n = steps.shape[0], b.size
     size = max(1, math.isqrt(total))
@@ -233,12 +233,3 @@ def _prefix_states(steps, b):
         b = u[j, -1] @ b
     return _product(u, entering[:, None, :, None]).reshape(-1, n)[:total]
 
-
-def _product(a, b):
-    """``a @ b`` over the last two axes, with numpy broadcasting over the
-    others: the inner index is summed in index order, one elementwise
-    multiply and add per term."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
-    return out

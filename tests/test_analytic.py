@@ -473,7 +473,7 @@ def test_write_csv_formats_a_range_here_when_its_fork_fails(monkeypatch):
     assert _written(traj.rows, traj.times.size) == (trajectory_to_csv(traj), traj.closure_error)
 
 
-def test_write_csv_worker_failure_raises_and_leaves_no_child(monkeypatch):
+def test_write_csv_worker_failure_raises_and_leaves_no_child(monkeypatch, capfd):
     _usable_cpus(monkeypatch, 3)
     parent, format_rows = os.getpid(), analytic.trajectory_to_csv
 
@@ -488,6 +488,8 @@ def test_write_csv_worker_failure_raises_and_leaves_no_child(monkeypatch):
         write_csv(traj.rows, traj.times.size, io.StringIO())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # the worker names its own failure, which the caller's OSError cannot
+    assert "error: CSV worker: RuntimeError: worker formatter failed\n" in capfd.readouterr().err
 
 
 def test_write_csv_failing_target_leaves_no_child(monkeypatch):

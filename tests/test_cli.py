@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import trajectory_to_csv_rows
 
-from degenpop import analytic, cli
+from degenpop import analytic, cli, numeric
 from degenpop.coupling import standard_2state, symmetric_nstate
 from degenpop.dressed import decompose_general
-from degenpop.pulses import PULSE_KINDS, HarmonicPulse
+from degenpop.pulses import PULSE_KINDS, HarmonicPulse, SampledPulse
 
 
 def write_config(tmp_path, mode="numeric", energies=0, **extra):
@@ -358,7 +358,7 @@ def test_analytic_run_with_split_energies_exits_two(tmp_path, capsys, monkeypatc
 
 
 def _nearest_cases():
-    b = cli._NEAREST_ROWS
+    b = 1 << 16
     grid, edge = np.linspace(0.0, 6.0, 200_000), np.arange(2.0 * b)
     ties = np.array([0.0, 1.0, 1.0, 2.0])
     cases = {
@@ -374,6 +374,47 @@ def _nearest_cases():
 
 @pytest.mark.parametrize("times,t", _nearest_cases())
 def test_nearest_is_the_argmin_of_the_distance(times, t):
+    assert cli._nearest(times, t) == int(np.argmin(np.abs(times - t)))
+
+
+TINY = 5e-324  # the smallest subnormal: one ulp of every time below 2**-1022
+NEAREST_TIMES = st.one_of(
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+    st.sampled_from([0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, 1e300]))
+
+
+@st.composite
+def sorted_grids(draw):
+    """Non-decreasing finite grids: drawn times with repeats, a subnormal
+    run, a ``linspace``, or a grid of :func:`numeric.integrate` over a
+    sampled pulse whose breakpoints lie one ulp apart."""
+    kind = draw(st.sampled_from(["drawn", "subnormal", "linspace", "integrate"]))
+    if kind == "drawn":
+        times = draw(st.lists(NEAREST_TIMES, min_size=1, max_size=40))
+        times += draw(st.lists(st.sampled_from(times), max_size=10))  # repeats
+        return np.sort(np.array(times))
+    if kind == "subnormal":
+        steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+        return (np.cumsum(steps) - draw(st.integers(0, 3 * len(steps)))) * TINY
+    if kind == "linspace":
+        return np.linspace(draw(st.floats(-10, 0)), draw(st.floats(0, 10)),
+                           draw(st.integers(1, 2000)))
+    # a flat envelope, so interpolating across one ulp stays finite
+    ulps = np.cumsum(draw(st.lists(st.integers(1, 4), min_size=1, max_size=12)))
+    ends = np.concatenate([[0], ulps]) * TINY
+    pulse = SampledPulse(ends, np.full(ends.size, 0.5))
+    end = float(ends[-1]) + draw(st.integers(0, 3)) * TINY
+    model = standard_2state(0.0, 0.0, pulse)
+    times = numeric.integrate(model, numeric.resolution_bound(model), end).times
+    assert (times[1:] >= times[:-1]).all()
+    return times
+
+
+@settings(max_examples=500, deadline=None)
+@given(times=sorted_grids(),
+       t=st.one_of(NEAREST_TIMES, st.sampled_from([math.nan, math.inf, -math.inf]),
+                   st.floats(allow_nan=False, allow_infinity=False)))
+def test_nearest_is_the_argmin_on_any_sorted_grid(times, t):
     assert cli._nearest(times, t) == int(np.argmin(np.abs(times - t)))
 
 
