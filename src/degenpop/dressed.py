@@ -78,10 +78,11 @@ def eigen_residual(basis: DressedBasis, w: np.ndarray) -> float:
 
 
 def _product(a, b):
-    """``a @ b`` over the last two axes, with numpy broadcasting over the
-    others: the inner index is summed in index order, one elementwise
-    multiply and add per term."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    """``a @ b`` over the first two axes, with numpy broadcasting over the
+    trailing ones (both operands have the same number of axes): the inner
+    index is summed in index order, one elementwise multiply and add per
+    term.  On 2-d operands it is the plain matrix product."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j:j + 1]
     return out

@@ -227,6 +227,9 @@ class RectKickPulse(Pulse):
         if self.center - 0.5 * self.width < 0:
             raise DomainError(
                 f"kick support must lie in t >= 0: t0={self.center}, width={self.width}")
+        if not math.isfinite(self.height):
+            raise DomainError(
+                f"kick height must be finite: A0={self.area}, width={self.width}")
 
     @property
     def left(self) -> float:
@@ -288,6 +291,9 @@ class SampledPulse(Pulse):
             raise DomainError("pulse parameters must be finite: samples")
         if not np.all(np.diff(t) > 0):
             raise DomainError("sample times must be strictly increasing")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.diff(v) / np.diff(t)).all():
+                raise DomainError("sample slopes |dV/dt| must be finite: samples")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values_", v)
         # cumulative integral of the interpolant from the first sample

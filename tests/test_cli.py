@@ -460,6 +460,37 @@ def test_kick_support_error_names_the_flags(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kick_height_overflow_exits_two_and_names_the_flags(tmp_path, capsys):
+    out = tmp_path / "kick.csv"
+    argv = ["--out", str(out), "kick", "--A0", "1e308", "--t0", "1e-299", "--widths", "1e-300"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kick height must be finite: A0=1e+308, width=1e-300\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.3, -0.7, 0.9], "error: sample slopes |dV/dt| must be finite: samples\n"),
+    # flat, so every slope is finite; the grid's lo + k h overshoots a segment end
+    ([0.3, 0.3, 0.3], "error: integrate's time grid must be non-decreasing: "
+                      "at dt=5e-323, t_end=1.0257e-320 a segment's steps overshoot its end\n"),
+])
+def test_subnormal_sampled_run_exits_two(tmp_path, capsys, values, message):
+    config = tmp_path / "subnormal.json"
+    samples = [[t, v] for t, v in zip([3.765e-321, 3.819e-321, 8.009e-321], values)]
+    config.write_text(json.dumps({
+        "model": {"n": 3, "alpha": 0.3},
+        "pulse": {"kind": "custom_sampled", "samples": samples},
+        "run": {"mode": "numeric", "t_end": 1.0257e-320, "dt": 5e-323},
+        "output": {"path": str(tmp_path / "out.csv")}}))
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("kind,key,value", [
     ("harmonic", "chi", "1.5"),
     ("harmonic", "omega", "1"),

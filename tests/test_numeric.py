@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ def test_closure_drift_after_20000_steps():
     assert np.max(np.abs(traj.closure - 1.0)) <= 3e-11
 
 
+def test_closure_drift_after_20000_steps_stays_at_rounding_level():
+    model = split_3state().with_pulse(HarmonicPulse(1.0, 1.0))
+    dt = resolution_bound(model)
+    traj = integrate(model, dt, 20000 * dt)
+    assert np.max(np.abs(traj.closure - 1.0)) <= 1e-13
+
+
 def test_closure_sums_the_weighted_populations_in_index_order():
     model = split_reduced_5state()
     traj = integrate(model, resolution_bound(model), 2.0)
@@ -222,9 +230,14 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# (batch of a, batch of b, columns of b): _cf4's and the running products'
-# stacked steps, and _prefix_states' (blocks, size) steps against its
-# (blocks, 1) entering states
+def batch_last(stack):
+    """A (batch..., rows, cols) stack as (rows, cols, batch...)."""
+    return np.moveaxis(stack, (-2, -1), (0, 1))
+
+
+# (batch of a, batch of b, columns of b), batch-last: _cf4's and the running
+# products' stacked steps, and _prefix_states' (blocks, size) steps against
+# its (blocks, 1) entering states
 PRODUCT_SHAPES = {"stacked": ((7,), (7,), None), "entering": ((4, 5), (4, 1), 1)}
 
 
@@ -233,18 +246,23 @@ PRODUCT_SHAPES = {"stacked": ((7,), (7,), None), "entering": ((4, 5), (4, 1), 1)
 def test_product_is_matmul(n, shapes):
     rng = np.random.default_rng(n)
     a_batch, b_batch, cols = shapes
-    a_shape, b_shape = (*a_batch, n, n), (*b_batch, n, cols or n)
+    a_shape, b_shape = (n, n, *a_batch), (n, cols or n, *b_batch)
     ints = (rng.integers(-9, 10, a_shape) + 1j * rng.integers(-9, 10, a_shape),
             rng.integers(-9, 10, b_shape) + 1j * rng.integers(-9, 10, b_shape))
+
+    def matmul(a, b):
+        return batch_last(np.matmul(np.moveaxis(a, (0, 1), (-2, -1)),
+                                    np.moveaxis(b, (0, 1), (-2, -1))))
+
     # small integers: every product and sum is exact, so the order cannot show
-    assert np.array_equal(numeric._product(*ints), np.matmul(*ints))
+    assert np.array_equal(numeric._product(*ints), matmul(*ints))
     a, b = random_complex(rng, a_shape), random_complex(rng, b_shape)
-    # a transposed view, as _propagators passes Q^T
-    for rhs in (b, b.swapaxes(-1, -2).copy().swapaxes(-1, -2)):
-        got, ref = numeric._product(a, rhs), np.matmul(a, rhs)
+    # a non-contiguous operand, as _cf4 and _prefix_states pass strided slices
+    for rhs in (b, b.swapaxes(0, 1).copy().swapaxes(0, 1)):
+        got, ref = numeric._product(a, rhs), matmul(a, rhs)
         assert got.shape == ref.shape
-        norms = (np.linalg.norm(a, axis=(-2, -1), keepdims=True)
-                 * np.linalg.norm(rhs, axis=(-2, -1), keepdims=True))
+        norms = (np.linalg.norm(a, axis=(0, 1), keepdims=True)
+                 * np.linalg.norm(rhs, axis=(0, 1), keepdims=True))
         assert np.all(np.abs(got - ref) <= 1e-15 * norms)
 
 
@@ -258,9 +276,51 @@ def test_prefix_states_is_the_sequential_product(total, n):
     for u in steps:
         b = u @ b
         ref.append(b)
-    got = numeric._prefix_states(steps, b0)
-    assert got.shape == (total, n)
-    assert np.max(np.abs(got - np.array(ref))) < 1e-14
+    got = numeric._prefix_states(batch_last(steps).copy(), b0)
+    assert got.shape == (n, total)
+    assert np.max(np.abs(got - np.array(ref).T)) < 1e-14
+
+
+def random_symmetric(rng, n, norm, batch):
+    """``batch`` real symmetric n x n matrices of infinity norm ``norm``, batch-last."""
+    x = rng.standard_normal((batch, n, n))
+    x = x + x.swapaxes(1, 2)
+    x *= norm / np.abs(x).sum(axis=2).max(axis=1)[:, None, None]
+    return batch_last(x).copy()
+
+
+def check_exponentials(x, got):
+    """``got`` is exp(-iX) for every X of the batch-last ``x``: within
+    10 n max(1, ||X||) eps of expm, unitary as closely, and the identity
+    exactly at X = 0."""
+    n, eps = x.shape[0], np.finfo(float).eps
+    for k in range(x.shape[2]):
+        xk, uk = x[:, :, k], got[:, :, k]
+        bound = 10 * n * max(1.0, np.abs(xk).sum(axis=1).max()) * eps
+        assert np.max(np.abs(uk - expm(-1j * xk))) <= bound
+        assert np.max(np.abs(uk @ uk.conj().T - np.eye(n))) <= bound
+        if not xk.any():
+            assert np.array_equal(uk, np.eye(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.03, 1.0, 30.0, 1e4])
+def test_propagators_match_expm(n, norm):
+    x = random_symmetric(np.random.default_rng(n), n, norm, 6)
+    check_exponentials(x, numeric._propagators(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_propagators_keep_zero_steps_beside_a_kick(n):
+    # a rectangular kick's one flat step between its zero-envelope gaps, and
+    # one resolved step, which is squared no more often than its own norm asks
+    x = np.zeros((n, n, 2, 5))
+    rng = np.random.default_rng(n)
+    x[:, :, 1, 2] = random_symmetric(rng, n, 1e4, 1)[:, :, 0]
+    x[:, :, 0, 4] = random_symmetric(rng, n, 0.03, 1)[:, :, 0]
+    got = numeric._propagators(x)
+    assert got.shape == x.shape
+    check_exponentials(x.reshape(n, n, -1), got.reshape(n, n, -1))
 
 
 @pytest.mark.parametrize("pulse, t_end, dt", [
@@ -317,6 +377,38 @@ def test_integrate_rejects_bad_step_and_end(dt, t_end):
     model = standard_2state(0.0, 0.0, HarmonicPulse(1.0, 1.0))
     with pytest.raises(DomainError, match=r"dt=.*t_end="):
         integrate(model, dt, t_end)
+
+
+@dataclass(frozen=True)
+class SpikedHarmonicPulse(HarmonicPulse):
+    """A harmonic envelope that reads ``spike`` after t = 1; its peak stays chi."""
+
+    spike: float = math.inf
+
+    def values(self, t):
+        return np.where(t > 1.0, self.spike, super().values(t))
+
+
+@pytest.mark.parametrize("spike", [math.inf, -math.inf, math.nan])
+def test_integrate_rejects_a_non_finite_step_generator_before_it_propagates(spike,
+                                                                            monkeypatch):
+    def propagate(*args):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(numeric, "_cf4", propagate)
+    model = standard_3state(0.3, 1.0, np.zeros(3), SpikedHarmonicPulse(1.0, 1.0, spike))
+    with (np.errstate(invalid="ignore", over="ignore"),
+          pytest.raises(DomainError, match=r"dt=0\.01, t_end=2\.0, pulse peak=1\.0$")):
+        integrate(model, 0.01, 2.0)
+
+
+def test_integrate_rejects_a_grid_that_falls():
+    # flat samples at subnormal times: (hi - lo)/counts rounds at subnormal
+    # precision, and lo + k h of the first segment overshoots its end
+    pulse = SampledPulse([3.765e-321, 3.819e-321, 8.009e-321], [0.3, 0.3, 0.3])
+    model = standard_3state(0.3, 1.0, np.zeros(3), pulse)
+    with pytest.raises(DomainError, match="non-decreasing: at dt=5e-323, t_end=1.0257e-320"):
+        integrate(model, 5e-323, 1.0257e-320)
 
 
 def test_leakage_scan_matches_dop853():

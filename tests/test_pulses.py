@@ -439,11 +439,17 @@ _REJECTIONS = {
     "kick-center": (DomainError, "center", lambda _: DeltaKickPulse(1.0, 0.0)),
     "kick-width": (DomainError, "width", lambda _: RectKickPulse(1.0, 1.0, 0.0)),
     "kick-support": (DomainError, "support", lambda _: RectKickPulse(1.0, 0.1, 1.0)),
+    "kick-height": (DomainError, r"kick height must be finite: A0=1e\+308, width=1e-300",
+                    lambda _: RectKickPulse(1e308, 1e-299, 1e-300)),
     "samples-shape": (DomainError, "at least 2", lambda _: SampledPulse([0.0], [1.0])),
     "samples-finite": (DomainError, "finite: samples",
                        lambda _: SampledPulse([0.0, math.nan], [1.0, 1.0])),
     "samples-order": (DomainError, "increasing",
                       lambda _: SampledPulse([1.0, 0.0], [1.0, 1.0])),
+    # 1.0 over a subnormal spacing overflows
+    "samples-slope": (DomainError, r"slopes \|dV/dt\| must be finite: samples",
+                      lambda _: SampledPulse([3.765e-321, 3.819e-321, 8.009e-321],
+                                             [0.3, -0.7, 0.9])),
     "no-samples": (ConfigError, "samples or samples_file",
                    lambda _: SampledPulse.from_dict({"kind": "custom_sampled"})),
     "samples-pairs": (ConfigError, "pairs of numbers",
