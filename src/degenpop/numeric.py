@@ -32,6 +32,16 @@ product of them is an elementwise sum over the inner index in index order
 at once; a stacked ``matmul`` would make one BLAS call per 2x2 or 3x3
 matrix, which costs more than the arithmetic.  No LAPACK or BLAS call is
 made per step.
+
+The CF4 core propagates several runs at once along a trailing run axis,
+(n, n, R, steps): runs that share a model's pulse and ``r`` share its grid
+and envelope values, and differ only in ``E/2`` on the diagonal.
+:func:`integrate` is one run.  :func:`leakage_scan` checks its ratios and
+builds their grid once, then propagates as many runs per CF4 pass as fill
+one chunk of ``_CHUNK_STEPS`` step matrices: up to 8 ratios of its 500-step
+grid in one pass.  A scan of thousands of ratios so holds no more step
+matrices at once than one run does, and each run's steps are chunked as in
+a scan of that ratio alone.
 """
 
 from __future__ import annotations
@@ -95,6 +105,24 @@ def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
     PointwiseUndefined for an instantaneous-kick pulse (use a
     rectangular kick instead).
     """
+    times, half, r_sym, u, steps = _steps(model, model.energies[:, None], dt, t_end)
+    b0 = _ground(half.shape)
+    b = np.concatenate([b0[:, :, None], _cf4(half, r_sym, u, steps, b0)], axis=2)[:, 0]
+    weights = model.closure_weights
+    amps = np.divide(b.T, np.sqrt(weights), order="C")
+    return Trajectory.from_amplitudes(times, amps, weights)
+
+
+def _steps(model: CouplingModel, energies, dt: float, t_end: float):
+    """The checked CF4 steps of runs of ``model`` on one shared grid, run j
+    with the energies ``energies[:, j]``.
+
+    Raises as :func:`integrate` documents.  The grid, the envelope values
+    and the bound on dt come from the pulse and ``r`` alone, so every run
+    shares them, and the generator norm bound only grows with ``max|E|``,
+    so the run that holds it checks every run.  Returns the grid's times
+    and :func:`_cf4`'s ``half``, ``r_sym``, ``u`` and ``steps``.
+    """
     if not (0.0 < dt < math.inf and 0.0 <= t_end < math.inf and t_end / dt <= 2.0 ** 53):
         raise DomainError("integrate needs a finite dt > 0 and a finite t_end >= 0 "
                           f"with t_end/dt <= 2**53, got dt={dt}, t_end={t_end}")
@@ -103,7 +131,6 @@ def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
     if dt > bound * (1.0 + 1e-12):
         raise UnresolvedTimescale(f"dt={dt} exceeds the resolvable bound {bound}")
 
-    weights = model.closure_weights
     r_sym = model.symmetrized()
     lo, counts, h = _grid(pulse, t_end, dt)
     seg = np.repeat(np.arange(lo.size), counts)
@@ -116,18 +143,20 @@ def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
     v1 = pulse.values(starts + _NODES[0] * steps)
     v2 = pulse.values(starts + _NODES[1] * steps)
     u = np.stack([_W_LARGE * v1 + _W_SMALL * v2, _W_SMALL * v1 + _W_LARGE * v2])
-    half = 0.5 * model.energies
+    half = 0.5 * energies
     # a bound on every step generator's norm ||(h u) r + h E/2||_inf, summed as _cf4 builds it
     norm = np.abs(steps * u) * np.max(np.abs(r_sym).sum(axis=1)) + steps * np.max(np.abs(half))
     if not np.all(np.isfinite(norm)):
         raise DomainError(f"integrate needs finite step generators, got one that is not "
                           f"at dt={dt}, t_end={t_end}, pulse peak={pulse.peak}")
-    b0 = np.zeros(model.n, dtype=complex)
-    b0[0] = 1.0
-    b = _cf4(half, r_sym, u, steps, b0)
+    return times, half, r_sym, u, steps
 
-    amps = np.concatenate([b0[None], b]) / np.sqrt(weights)
-    return Trajectory.from_amplitudes(times, amps, weights)
+
+def _ground(shape):
+    """The ground state of every run, (n, R)."""
+    b = np.zeros(shape, dtype=complex)
+    b[0] = 1.0
+    return b
 
 
 def compare(a: Trajectory, b: Trajectory) -> float:
@@ -147,20 +176,40 @@ def leakage_scan(model: CouplingModel, ratios) -> list[tuple[float, float]]:
     (ratio, 1 - P2(quarter period)).  Every run takes at least 500 CF4
     steps up to the quarter period, which keeps its error against a
     tight DOP853 solution below 1e-12.
+
+    Every ratio is checked before any step is propagated.  Only the
+    energies differ between the runs, so they share one grid, one dt and
+    one set of envelope values, and each :func:`_cf4` pass propagates as
+    many runs as fill one chunk of ``_CHUNK_STEPS`` step matrices (one run
+    at least): 4096 // 500 = 8 runs of the 500-step grid.  Each run's steps
+    are so chunked as in a scan of that ratio alone, and a scan holds no
+    more step matrices at once than one run does.  A row still depends on
+    the others of its pass through :func:`_propagators`' one Taylor degree,
+    which the largest step generator of the pass sets, but only by rounding.
     """
     pulse = model.pulse
     if not isinstance(pulse, HarmonicPulse):
         raise DomainError("leakage scan needs a harmonic pulse")
+    ratios = list(ratios)
+    if not all(r > 0 for r in ratios):
+        raise DomainError("ratios must be positive")
+    omega21 = [0.0 if math.isinf(r) else pulse.omega / r for r in ratios]
+    if not all(map(math.isfinite, omega21)):
+        raise DomainError(f"ratios must leave a finite splitting omega/ratio, "
+                          f"omega={pulse.omega}")
+    if not ratios:
+        return []
     t0 = pulse.quarter_period
-    out = []
-    for ratio in ratios:
-        if not ratio > 0:
-            raise DomainError("ratios must be positive")
-        split = model.with_energies([0.0, 0.0 if math.isinf(ratio) else pulse.omega / ratio])
-        dt = min(resolution_bound(split), 4.0 * t0 / 2000.0)
-        traj = integrate(split, dt, t0)
-        out.append((float(ratio), float(1.0 - traj.probabilities[-1, 1])))
-    return out
+    dt = min(resolution_bound(model), 4.0 * t0 / 2000.0)
+    energies = np.array([np.zeros(len(ratios)), omega21])
+    _, half, r_sym, u, steps = _steps(model, energies, dt, t0)
+    runs = max(1, _CHUNK_STEPS // steps.size)
+    p2 = []
+    for j in range(0, len(ratios), runs):
+        part = half[:, j:j + runs]
+        last = _cf4(part, r_sym, u, steps, _ground(part.shape))[:, :, -1]
+        p2.extend(np.abs(last[1] / np.sqrt(model.closure_weights[1])) ** 2)
+    return [(float(r), float(1.0 - p)) for r, p in zip(ratios, p2)]
 
 
 def kick_convergence(model: CouplingModel, widths) -> list[tuple[float, float]]:
@@ -202,24 +251,28 @@ def _grid(pulse, t_end: float, dt: float):
 
 
 def _cf4(half, r_sym, u, steps, b):
-    """States after every CF4 step; step k runs over steps[k].
+    """States after every CF4 step of every run; step k runs over steps[k].
 
-    Step k is ``exp(-i h (E/2 + u[1, k] r)) exp(-i h (E/2 + u[0, k] r))``
-    with ``half = E/2``; ``u`` holds the envelope at the two Gauss nodes
+    Step k of run j is ``exp(-i h (E/2 + u[1, k] r)) exp(-i h (E/2 + u[0, k] r))``
+    with ``half[:, j] = E/2``; ``u`` holds the envelope at the two Gauss nodes
     mixed by the CF4 weights: u[0] weights the earlier node more, u[1] the
-    later one.  Both exponentials of a chunk's steps are made by one
-    :func:`_propagators` call, laid out batch-last as (n, n, 2, steps).
+    later one.  ``b`` holds the runs' start states, (n, R), and the result
+    is (n, R, steps).  Both exponentials of a chunk's steps over all runs
+    are made by one :func:`_propagators` call, laid out batch-last as
+    (n, n, 2, R, steps); a chunk holds at most ``_CHUNK_STEPS`` step
+    matrices over all runs, and one step at least.
     """
-    n = b.size
-    out = np.empty((steps.size, n), dtype=complex)
-    for c in range(0, steps.size, _CHUNK_STEPS):
-        end = min(c + _CHUNK_STEPS, steps.size)
-        h = steps[c:end]
-        x = r_sym[:, :, None, None] * (h * u[:, c:end])
-        _diagonal(x)[...] += half[:, None, None] * h
+    n, runs = b.shape
+    size = max(1, _CHUNK_STEPS // runs)
+    out = np.empty((n, runs, steps.size), dtype=complex)
+    for c in range(0, steps.size, size):
+        h = steps[c:c + size]
+        x = np.multiply(r_sym[:, :, None, None, None], (h * u[:, c:c + size])[:, None],
+                        out=np.empty((n, n, 2, runs, h.size)))
+        _diagonal(x)[...] += half[:, None, :, None] * h
         factors = _propagators(x)
-        out[c:end] = _prefix_states(_product(factors[:, :, 1], factors[:, :, 0]), b).T
-        b = out[end - 1]
+        out[..., c:c + size] = _prefix_states(_product(factors[:, :, 1], factors[:, :, 0]), b)
+        b = out[..., c + h.size - 1]
     return out
 
 
@@ -278,27 +331,36 @@ def _diagonal(a):
 def _prefix_states(steps, b):
     """``U_k ... U_1 b`` for every k, by a two-level blocked product.
 
-    ``steps`` is batch-last, (n, n, N), and so is the result, (n, N).  The
-    steps are cut into about sqrt(N) blocks of about sqrt(N) steps.
-    The running products inside every block are formed for all blocks at
-    once, the state entering each block is carried across the blocks one
-    at a time, and one batched product then gives every state.  That is
-    about 2 sqrt(N) products for N steps, and O(N) work.  Each batched
-    product is :func:`dressed._product`'s n elementwise multiplies and n - 1
-    adds, so about 2n sqrt(N) numpy calls in all; a stacked ``matmul`` would
-    make one BLAS call per step matrix.  The carry is one plain matrix-vector
-    ``@`` per block, which costs less than ``_product``'s 2n - 1 calls.
+    ``steps`` is batch-last, (n, n, *runs, N), with any trailing run axes
+    before the step axis, ``b`` holds a start state per run, (n, *runs), and
+    the result is (n, *runs, N).  The steps are cut into about sqrt(N)
+    blocks of about sqrt(N) steps.  The running products inside every
+    block are formed for all blocks and runs at once, the states entering
+    each block are carried across the blocks one block at a time, and one
+    batched product then gives every state.  That is about 2 sqrt(N)
+    products for N steps, and O(N) work.  Each batched product is
+    :func:`dressed._product`'s n elementwise multiplies and n - 1 adds, so
+    about 2n sqrt(N) numpy calls in all, however many runs; a stacked
+    ``matmul`` would make one BLAS call per step matrix.  The carry is one
+    matrix-vector ``@`` per block, stacked over the runs, which costs less
+    than ``_product``'s 2n - 1 calls.
     """
-    n, total = b.size, steps.shape[2]
+    (n, *runs), total = b.shape, steps.shape[-1]
+    r = len(runs)
     size = max(1, math.isqrt(total))
     blocks = -(-total // size)
-    pad = np.broadcast_to(np.eye(n)[:, :, None], (n, n, blocks * size - total))
-    u = np.concatenate([steps, pad], axis=2).reshape(n, n, blocks, size)
+    u = np.empty((n, n, *runs, blocks * size), dtype=complex)
+    u[..., :total] = steps
+    u[..., total:] = np.eye(n).reshape(n, n, *[1] * (r + 1))
+    u = u.reshape(n, n, *runs, blocks, size)
     for i in range(1, size):
         u[..., i] = _product(u[..., i], u[..., i - 1])
-    ends = np.moveaxis(u[..., -1], 2, 0).copy()
-    entering = np.empty((n, blocks), dtype=complex)
+    # the carry's operands, (blocks, *runs, n, n) and (*runs, n, 1): matrix axes last for ``@``
+    ends = u[..., -1].transpose(r + 2, *range(2, r + 2), 0, 1).copy()
+    b = b.transpose(*range(1, r + 1), 0)[..., None]
+    entering = np.empty((blocks, *b.shape), dtype=complex)
     for j in range(blocks):
-        entering[:, j] = b
+        entering[j] = b
         b = ends[j] @ b
-    return _product(u, entering[:, None, :, None]).reshape(n, -1)[:, :total]
+    entering = entering.transpose(r + 1, r + 2, *range(1, r + 1), 0)[..., None]
+    return _product(u, entering).reshape(n, *runs, -1)[..., :total]

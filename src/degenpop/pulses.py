@@ -19,6 +19,7 @@ import re
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, ClassVar
 
 import numpy as np
@@ -409,15 +410,30 @@ def load_sampled_csv(path) -> SampledPulse:
             with warnings.catch_warnings():  # a file without rows is refused below
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        except ValueError as exc:  # numpy names the row and the field
-            rule = ("row must hold the two fields t,V" if "columns" in str(exc)
-                    else "values must be numbers")
-            raise ConfigError(f"samples_file {rule}: {exc}") from None
-    if rows.shape[1] != 2 and rows.size:
-        raise ConfigError(f"samples_file rows must hold the two fields t,V, not {rows.shape[1]}")
+        except ValueError as exc:
+            # numpy counts the rows without the empty lines it skips, from 0 in
+            # a value error and from 1 in a field-count error
+            columns = "columns" in str(exc)
+            rule = "row must hold the two fields t,V" if columns else "values must be numbers"
+            row = re.search(r"at row (\d+)", str(exc))
+            if row is None:  # not about a row: text that does not decode
+                raise ConfigError(f"samples_file {rule}: {exc}") from None
+            raise _row_error(fh, int(row[1]) - columns, rule) from None
+        if rows.shape[1] != 2 and rows.size:
+            raise _row_error(fh, 0, f"rows must hold the two fields t,V, not {rows.shape[1]}")
     if len(rows) < 2:
         raise ConfigError("need at least 2 samples")
     return SampledPulse(rows[:, 0], rows[:, 1])
+
+
+def _row_error(fh, row: int, rule: str) -> ConfigError:
+    """The error naming data row ``row`` (0-based, empty lines skipped) of
+    the sampled envelope file ``fh`` by its file line, the header being
+    line 1; a quoted field that spans lines is not followed, so the rows
+    after it are named a line early."""
+    fh.seek(0)
+    lines = (number for number, line in enumerate(fh, 1) if number > 1 and line != "\n")
+    return ConfigError(f"samples_file line {next(islice(lines, row, None))}: {rule}")
 
 
 def _check_times(t: np.ndarray) -> np.ndarray:

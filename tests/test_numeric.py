@@ -281,6 +281,38 @@ def test_prefix_states_is_the_sequential_product(total, n):
     assert np.max(np.abs(got - np.array(ref).T)) < 1e-14
 
 
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("total", [1, 2, 17, 31])
+@pytest.mark.parametrize("n", [2, 3])
+def test_prefix_states_of_stacked_runs_are_each_runs_own(n, total, runs):
+    rng = np.random.default_rng(100 * total + runs)
+    steps = batch_last(np.linalg.qr(random_complex(rng, (runs, total, n, n)))[0]).copy()
+    b0 = random_complex(rng, (n, runs))
+    got = numeric._prefix_states(steps, b0)
+    assert got.shape == (n, runs, total)
+    for j in range(runs):
+        assert np.array_equal(got[:, j], numeric._prefix_states(steps[:, :, j].copy(), b0[:, j]))
+
+
+def test_cf4_chunk_holds_at_most_chunk_steps_matrices_over_all_runs(monkeypatch):
+    model = split_3state()
+    energies = np.array([[0.0, 0.5, -0.3], [0.0, 0.0, 0.0], [0.2, -0.4, 0.1]]).T
+    dt = resolution_bound(model)
+    _, half, r_sym, u, steps = numeric._steps(model, energies, dt, 3000 * dt)
+    shapes, propagators = [], numeric._propagators
+
+    def spy(x):
+        shapes.append(x.shape)
+        return propagators(x)
+
+    monkeypatch.setattr(numeric, "_propagators", spy)
+    got = numeric._cf4(half, r_sym, u, steps, numeric._ground(half.shape))
+    assert [s[3] * s[4] for s in shapes] == [3 * 1365, 3 * 1365, 3 * 270]
+    for j, e in enumerate(energies.T):
+        run = integrate(model.with_energies(e), dt, 3000 * dt)
+        assert np.max(np.abs(got[:, j].T - run.amplitudes[1:])) < 1e-12
+
+
 def random_symmetric(rng, n, norm, batch):
     """``batch`` real symmetric n x n matrices of infinity norm ``norm``, batch-last."""
     x = rng.standard_normal((batch, n, n))
@@ -327,8 +359,8 @@ def test_propagators_keep_zero_steps_beside_a_kick(n):
     (HarmonicPulse(1.3, 0.7), 2.0, 0.0101),
     (RectKickPulse(0.8, 1.0, 0.3), 1.6, 0.006),
     (RectKickPulse(0.8, 1.0, 0.3), 0.5, 0.006),  # ends before the kick
-    # runs past the samples; the envelope ends at 0, so the RK4 stage at
-    # the tail's left edge reads no stale sample value
+    # runs past the samples; the envelope ends at 0, so the CF4 Gauss nodes
+    # of the tail's steps read no stale sample value
     (SampledPulse(np.linspace(0.0, 4.0 * math.pi, 41),
                   0.8 * np.sin(np.linspace(0.0, 4.0 * math.pi, 41))),
      4.0 * math.pi + 0.5, 0.02),
@@ -379,6 +411,14 @@ def test_integrate_rejects_bad_step_and_end(dt, t_end):
         integrate(model, dt, t_end)
 
 
+def spy_propagation(monkeypatch):
+    """Replace ``_cf4`` by one that fails the test when it is called."""
+    def propagate(*args):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(numeric, "_cf4", propagate)
+
+
 @dataclass(frozen=True)
 class SpikedHarmonicPulse(HarmonicPulse):
     """A harmonic envelope that reads ``spike`` after t = 1; its peak stays chi."""
@@ -392,10 +432,7 @@ class SpikedHarmonicPulse(HarmonicPulse):
 @pytest.mark.parametrize("spike", [math.inf, -math.inf, math.nan])
 def test_integrate_rejects_a_non_finite_step_generator_before_it_propagates(spike,
                                                                             monkeypatch):
-    def propagate(*args):
-        raise AssertionError("propagated")
-
-    monkeypatch.setattr(numeric, "_cf4", propagate)
+    spy_propagation(monkeypatch)
     model = standard_3state(0.3, 1.0, np.zeros(3), SpikedHarmonicPulse(1.0, 1.0, spike))
     with (np.errstate(invalid="ignore", over="ignore"),
           pytest.raises(DomainError, match=r"dt=0\.01, t_end=2\.0, pulse peak=1\.0$")):
@@ -440,6 +477,48 @@ def test_leakage_scan_rejects_a_nonpositive_ratio(ratio):
     model = standard_2state(0.0, 0.0, HarmonicPulse(0.5 * math.pi, 1.0))
     with pytest.raises(DomainError, match="ratios must be positive"):
         leakage_scan(model, [1.0, ratio])
+
+
+LEAKAGE_PULSE = HarmonicPulse(chi=0.5 * math.pi, omega=1.0)
+SIX_RATIOS = [1.0, 3.7, 10.0, 100.0, 1000.0, math.inf]
+
+
+def test_leakage_scan_rows_are_the_integrated_runs():
+    model = standard_2state(0.0, 0.0, LEAKAGE_PULSE)
+    t0 = LEAKAGE_PULSE.quarter_period
+    dt = min(resolution_bound(model), 4.0 * t0 / 2000.0)
+    for ratio, loss in leakage_scan(model, SIX_RATIOS):
+        split = model.with_energies([0.0, 0.0 if math.isinf(ratio) else 1.0 / ratio])
+        assert abs(loss - (1.0 - integrate(split, dt, t0).probabilities[-1, 1])) <= 1e-15
+
+
+def test_leakage_scan_row_does_not_depend_on_its_neighbours():
+    model = standard_2state(0.0, 0.0, LEAKAGE_PULSE)
+
+    def alone(ratios):
+        return [row for ratio in ratios for row in leakage_scan(model, [ratio])]
+
+    assert leakage_scan(model, SIX_RATIOS) == alone(SIX_RATIOS)
+    # more runs than fill one chunk of 500-step runs: each keeps its own chunks
+    many = [0.5 * k for k in range(1, 20)]
+    assert leakage_scan(model, many) == alone(many)
+
+
+def test_leakage_scan_of_no_ratios_propagates_nothing(monkeypatch):
+    spy_propagation(monkeypatch)
+    assert leakage_scan(standard_2state(0.0, 0.0, LEAKAGE_PULSE), []) == []
+
+
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("ratio, match", [
+    (0.0, "positive"), (-1.0, "positive"), (math.nan, "positive"), (-math.inf, "positive"),
+    (5e-324, "finite splitting"),
+], ids=["zero", "negative", "nan", "minus-inf", "subnormal"])
+def test_leakage_scan_checks_every_ratio_before_it_propagates(monkeypatch, ratio, match, at):
+    spy_propagation(monkeypatch)
+    ratios = SIX_RATIOS[:at] + [ratio] + SIX_RATIOS[at:]
+    with pytest.raises(DomainError, match=f"ratios must.*{match}"):
+        leakage_scan(standard_2state(0.0, 0.0, LEAKAGE_PULSE), ratios)
 
 
 def test_leakage_scan_needs_a_harmonic_pulse():

@@ -316,7 +316,7 @@ def test_sampled_csv_requires_header(tmp_path):
 def test_sampled_csv_row_must_hold_two_fields(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match="samples_file row"):
+    with pytest.raises(ValueError, match="samples_file line 3: row must hold the two fields t,V"):
         load_sampled_csv(path)
 
 
@@ -341,6 +341,10 @@ def test_sampled_csv_reads_the_bits_of_the_row_reader(tmp_path, fmt, rows):
     assert new.values_.tobytes() == old.values_.tobytes() == v.tobytes()
 
 
+# the errors that name a row by its file line, the header being line 1
+_NUMBERS = "^samples_file line {}: values must be numbers$"
+_ROW = "^samples_file line {}: row must hold the two fields t,V$"
+_ROWS = "^samples_file line {}: rows must hold the two fields t,V, not {}$"
 # file text -> the sample times it gives, or the error type and text it raises
 _FORMATS = {
     "quoted-fields": ('t,V\n"0","1"\n"1",2\n', [0.0, 1.0]),
@@ -351,15 +355,26 @@ _FORMATS = {
     "cr": ("t,V\r0,1\r1,2\r", [0.0, 1.0]),
     "no-final-newline": ("t,V\n0,1\n1,2", [0.0, 1.0]),
     "signs-exponents": ("t,V\n-1e-3,+2.5E2\n.5,5.\n", [-0.001, 0.5]),
-    "whitespace-line": ("t,V\n0,1\n  \n1,2\n", (ConfigError, "samples_file row")),
-    "three-columns": ("t,V\n0,1,2\n1,2,3\n", (ConfigError, "samples_file row")),
-    "three-columns-one-row": ("t,V\n0,1,2\n", (ConfigError, "samples_file row")),
-    "one-column": ("t,V\n0\n1\n", (ConfigError, "samples_file row")),
-    "empty-field": ("t,V\n0,\n1,2\n", (ConfigError, "must be numbers")),
+    "whitespace-line": ("t,V\n0,1\n  \n1,2\n", (ConfigError, _ROW.format(3))),
+    "three-columns": ("t,V\n0,1,2\n1,2,3\n", (ConfigError, _ROWS.format(2, 3))),
+    "three-columns-one-row": ("t,V\n0,1,2\n", (ConfigError, _ROWS.format(2, 3))),
+    "three-columns-after-blank-lines": ("t,V\n\n\n0,1,2\n1,2,3\n",
+                                        (ConfigError, _ROWS.format(4, 3))),
+    "one-column": ("t,V\n0\n1\n", (ConfigError, _ROWS.format(2, 1))),
+    "empty-field": ("t,V\n0,\n1,2\n", (ConfigError, _NUMBERS.format(2))),
     # the first row's numbers are read before its field count
-    "comment-line": ("t,V\n# note\n0,1\n1,2\n", (ConfigError, "must be numbers")),
-    "comment-line-later": ("t,V\n0,1\n# note\n1,2\n", (ConfigError, "samples_file row")),
-    "comment-after-row": ("t,V\n0,1 # note\n1,2\n", (ConfigError, "must be numbers")),
+    "comment-line": ("t,V\n# note\n0,1\n1,2\n", (ConfigError, _NUMBERS.format(2))),
+    "comment-line-later": ("t,V\n0,1\n# note\n1,2\n", (ConfigError, _ROW.format(3))),
+    "comment-after-row": ("t,V\n0,1 # note\n1,2\n", (ConfigError, _NUMBERS.format(2))),
+    # numpy numbers the rows without the blank lines, from 0 in a value error
+    # and from 1 in a field-count error; each error names the file line
+    "number-after-blank-lines": ("t,V\n\n0,1\n\n\n1,a\n", (ConfigError, _NUMBERS.format(6))),
+    "row-after-blank-line": ("t,V\n0,1\n\n1,2,3\n", (ConfigError, _ROW.format(4))),
+    "number-in-first-row": ("t,V\n0,a\n1,2\n", (ConfigError, _NUMBERS.format(2))),
+    "quoted-number": ('t,V\n"0","1"\n"1","x"\n', (ConfigError, _NUMBERS.format(3))),
+    "unbalanced-quote": ('t,V\n0,1\n"1,2\n3,4\n', (ConfigError, _ROW.format(3))),
+    "crlf-number": ("t,V\r\n0,1\r\n\r\n1,a\r\n", (ConfigError, _NUMBERS.format(4))),
+    "cr-row": ("t,V\r0,1\r\r1,2,3\r", (ConfigError, _ROW.format(4))),
     "one-row": ("t,V\n0,1\n", (ConfigError, "at least 2 samples")),
     "header-only": ("t,V\n", (ConfigError, "at least 2 samples")),
     "blank-lines-only": ("t,V\n\n\n", (ConfigError, "at least 2 samples")),
@@ -370,8 +385,8 @@ _FORMATS = {
     "not-finite": ("t,V\n0,inf\n1,nan\n", (DomainError, "finite")),
     "decreasing": ("t,V\n1,0\n0,0\n", (DomainError, "increasing")),
     # Python's float reads these two, NumPy's parser does not
-    "underscore": ("t,V\n1_0,1\n20,2\n", (ConfigError, "must be numbers")),
-    "fullwidth-digit": ("t,V\n\uff10,1\n1,2\n", (ConfigError, "must be numbers")),
+    "underscore": ("t,V\n1_0,1\n20,2\n", (ConfigError, _NUMBERS.format(2))),
+    "fullwidth-digit": ("t,V\n\uff10,1\n1,2\n", (ConfigError, _NUMBERS.format(2))),
 }
 
 
