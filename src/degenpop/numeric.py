@@ -33,15 +33,15 @@ at once; a stacked ``matmul`` would make one BLAS call per 2x2 or 3x3
 matrix, which costs more than the arithmetic.  No LAPACK or BLAS call is
 made per step.
 
-The CF4 core propagates several runs at once along a trailing run axis,
-(n, n, R, steps): runs that share a model's pulse and ``r`` share its grid
-and envelope values, and differ only in ``E/2`` on the diagonal.
-:func:`integrate` is one run.  :func:`leakage_scan` checks its ratios and
-builds their grid once, then propagates as many runs per CF4 pass as fill
-one chunk of ``_CHUNK_STEPS`` step matrices: up to 8 ratios of its 500-step
-grid in one pass.  A scan of thousands of ratios so holds no more step
-matrices at once than one run does, and each run's steps are chunked as in
-a scan of that ratio alone.
+The CF4 core propagates several runs at once, each from state 1, along
+one trailing run axis, (n, n, R, steps): runs that share a model's pulse
+and ``r`` share its grid and envelope values, and differ only in ``E/2``
+on the diagonal.  :func:`integrate` is one run.  :func:`leakage_scan`
+checks its ratios and builds their grid once, then propagates as many
+runs per CF4 pass as fill one chunk of ``_CHUNK_STEPS`` step matrices: up
+to 8 ratios of its 500-step grid in one pass.  A scan of thousands of
+ratios so holds no more step matrices at once than one run does, and each
+run's steps are chunked as in a scan of that ratio alone.
 """
 
 from __future__ import annotations
@@ -90,12 +90,13 @@ def resolution_bound(model: CouplingModel) -> float:
 
 
 def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
-    """Trajectory over [0, t_end] from the ground state under the model's pulse.
+    """Trajectory over [0, t_end] from state 1 under the model's pulse.
 
     Every segment between envelope breakpoints is cut into equal steps
-    no longer than dt, and the state is sampled at ``lo + k h`` after
-    every step.  Every step is one CF4 step, whose error is O(h^5) and
-    zero (up to rounding) where the envelope is constant.
+    no longer than dt, and the state is sampled at t = 0 and at
+    ``lo + k h`` after every step.  Every step is one CF4 step, whose
+    error is O(h^5) and zero (up to rounding) where the envelope is
+    constant.
     Raises DomainError unless dt is positive and finite, t_end is
     non-negative and finite and t_end/dt is at most 2**53, and before any
     step is propagated when the grid is not non-decreasing (``lo + k h``
@@ -106,8 +107,7 @@ def integrate(model: CouplingModel, dt: float, t_end: float) -> Trajectory:
     rectangular kick instead).
     """
     times, half, r_sym, u, steps = _steps(model, model.energies[:, None], dt, t_end)
-    b0 = _ground(half.shape)
-    b = np.concatenate([b0[:, :, None], _cf4(half, r_sym, u, steps, b0)], axis=2)[:, 0]
+    b = _cf4(half, r_sym, u, steps)[:, 0]
     weights = model.closure_weights
     amps = np.divide(b.T, np.sqrt(weights), order="C")
     return Trajectory.from_amplitudes(times, amps, weights)
@@ -152,13 +152,6 @@ def _steps(model: CouplingModel, energies, dt: float, t_end: float):
     return times, half, r_sym, u, steps
 
 
-def _ground(shape):
-    """The ground state of every run, (n, R)."""
-    b = np.zeros(shape, dtype=complex)
-    b[0] = 1.0
-    return b
-
-
 def compare(a: Trajectory, b: Trajectory) -> float:
     """Max absolute per-state population deviation on a shared grid."""
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
@@ -173,9 +166,11 @@ def leakage_scan(model: CouplingModel, ratios) -> list[tuple[float, float]]:
     energies are replaced by ``[0, omega21]`` for each entry of
     ``ratios``, the carrier-to-splitting ratios omega/omega21 (math.inf
     selects the degenerate limit).  Each entry of the result is
-    (ratio, 1 - P2(quarter period)).  Every run takes at least 500 CF4
-    steps up to the quarter period, which keeps its error against a
-    tight DOP853 solution below 1e-12.
+    (ratio, 1 - P2(quarter period)).  Every run takes the same 500 or more
+    CF4 steps up to the quarter period.  That grid resolves the drive, not
+    omega21: against a converged reference a row is within 2.7e-13 for
+    ratios of 0.1 and above, and 4.8e-12 at 0.03, 5.0e-11 at 0.003 and
+    1.9e-8 at 1e-4, where the splitting outruns the steps.
 
     Every ratio is checked before any step is propagated.  Only the
     energies differ between the runs, so they share one grid, one dt and
@@ -190,6 +185,8 @@ def leakage_scan(model: CouplingModel, ratios) -> list[tuple[float, float]]:
     pulse = model.pulse
     if not isinstance(pulse, HarmonicPulse):
         raise DomainError("leakage scan needs a harmonic pulse")
+    if model.n != 2:
+        raise DomainError(f"leakage scan needs a two-state model, got n={model.n}")
     ratios = list(ratios)
     if not all(r > 0 for r in ratios):
         raise DomainError("ratios must be positive")
@@ -206,8 +203,7 @@ def leakage_scan(model: CouplingModel, ratios) -> list[tuple[float, float]]:
     runs = max(1, _CHUNK_STEPS // steps.size)
     p2 = []
     for j in range(0, len(ratios), runs):
-        part = half[:, j:j + runs]
-        last = _cf4(part, r_sym, u, steps, _ground(part.shape))[:, :, -1]
+        last = _cf4(half[:, j:j + runs], r_sym, u, steps)[:, :, -1]
         p2.extend(np.abs(last[1] / np.sqrt(model.closure_weights[1])) ** 2)
     return [(float(r), float(1.0 - p)) for r, p in zip(ratios, p2)]
 
@@ -250,29 +246,29 @@ def _grid(pulse, t_end: float, dt: float):
     return lo, counts, (hi - lo) / counts
 
 
-def _cf4(half, r_sym, u, steps, b):
-    """States after every CF4 step of every run; step k runs over steps[k].
+def _cf4(half, r_sym, u, steps):
+    """States of every run from state 1 on, after every CF4 step over steps[k].
 
     Step k of run j is ``exp(-i h (E/2 + u[1, k] r)) exp(-i h (E/2 + u[0, k] r))``
     with ``half[:, j] = E/2``; ``u`` holds the envelope at the two Gauss nodes
     mixed by the CF4 weights: u[0] weights the earlier node more, u[1] the
-    later one.  ``b`` holds the runs' start states, (n, R), and the result
-    is (n, R, steps).  Both exponentials of a chunk's steps over all runs
-    are made by one :func:`_propagators` call, laid out batch-last as
-    (n, n, 2, R, steps); a chunk holds at most ``_CHUNK_STEPS`` step
-    matrices over all runs, and one step at least.
+    later one.  The result is (n, R, steps + 1), state 1 first.  One
+    :func:`_propagators` call makes both exponentials of a chunk's steps
+    over all runs, batch-last as (n, n, 2, R, steps); a chunk holds at most
+    ``_CHUNK_STEPS`` step matrices over all runs, and one step at least.
     """
-    n, runs = b.shape
+    n, runs = half.shape
     size = max(1, _CHUNK_STEPS // runs)
-    out = np.empty((n, runs, steps.size), dtype=complex)
+    out = np.zeros((n, runs, steps.size + 1), dtype=complex)
+    out[0, :, 0] = 1.0
     for c in range(0, steps.size, size):
         h = steps[c:c + size]
         x = np.multiply(r_sym[:, :, None, None, None], (h * u[:, c:c + size])[:, None],
                         out=np.empty((n, n, 2, runs, h.size)))
         _diagonal(x)[...] += half[:, None, :, None] * h
-        factors = _propagators(x)
-        out[..., c:c + size] = _prefix_states(_product(factors[:, :, 1], factors[:, :, 0]), b)
-        b = out[..., c + h.size - 1]
+        f = _propagators(x)
+        out[..., c + 1:c + size + 1] = _prefix_states(_product(f[:, :, 1], f[:, :, 0]),
+                                                      out[..., c])
     return out
 
 
@@ -331,36 +327,34 @@ def _diagonal(a):
 def _prefix_states(steps, b):
     """``U_k ... U_1 b`` for every k, by a two-level blocked product.
 
-    ``steps`` is batch-last, (n, n, *runs, N), with any trailing run axes
-    before the step axis, ``b`` holds a start state per run, (n, *runs), and
-    the result is (n, *runs, N).  The steps are cut into about sqrt(N)
-    blocks of about sqrt(N) steps.  The running products inside every
-    block are formed for all blocks and runs at once, the states entering
-    each block are carried across the blocks one block at a time, and one
-    batched product then gives every state.  That is about 2 sqrt(N)
-    products for N steps, and O(N) work.  Each batched product is
+    ``steps`` is batch-last, (n, n, R, N), for R runs, ``b`` holds a start
+    state per run, (n, R), and the result is (n, R, N).  The steps are cut
+    into about sqrt(N) blocks of about sqrt(N) steps.  The running products
+    inside every block are formed for all blocks and runs at once, the
+    states entering each block are carried across the blocks one block at
+    a time, and one batched product then gives every state.  That is about
+    2 sqrt(N) products for N steps, and O(N) work.  Each batched product is
     :func:`dressed._product`'s n elementwise multiplies and n - 1 adds, so
     about 2n sqrt(N) numpy calls in all, however many runs; a stacked
     ``matmul`` would make one BLAS call per step matrix.  The carry is one
     matrix-vector ``@`` per block, stacked over the runs, which costs less
     than ``_product``'s 2n - 1 calls.
     """
-    (n, *runs), total = b.shape, steps.shape[-1]
-    r = len(runs)
+    (n, runs), total = b.shape, steps.shape[-1]
     size = max(1, math.isqrt(total))
     blocks = -(-total // size)
-    u = np.empty((n, n, *runs, blocks * size), dtype=complex)
+    u = np.empty((n, n, runs, blocks * size), dtype=complex)
     u[..., :total] = steps
-    u[..., total:] = np.eye(n).reshape(n, n, *[1] * (r + 1))
-    u = u.reshape(n, n, *runs, blocks, size)
+    u[..., total:] = np.eye(n)[:, :, None, None]
+    u = u.reshape(n, n, runs, blocks, size)
     for i in range(1, size):
         u[..., i] = _product(u[..., i], u[..., i - 1])
-    # the carry's operands, (blocks, *runs, n, n) and (*runs, n, 1): matrix axes last for ``@``
-    ends = u[..., -1].transpose(r + 2, *range(2, r + 2), 0, 1).copy()
-    b = b.transpose(*range(1, r + 1), 0)[..., None]
+    # the carry's operands, (blocks, R, n, n) and (R, n, 1): matrix axes last for ``@``
+    ends = u[..., -1].transpose(3, 2, 0, 1).copy()
+    b = b.T[..., None]
     entering = np.empty((blocks, *b.shape), dtype=complex)
     for j in range(blocks):
         entering[j] = b
         b = ends[j] @ b
-    entering = entering.transpose(r + 1, r + 2, *range(1, r + 1), 0)[..., None]
-    return _product(u, entering).reshape(n, *runs, -1)[..., :total]
+    entering = entering.transpose(2, 3, 1, 0)[..., None]
+    return _product(u, entering).reshape(n, runs, -1)[..., :total]

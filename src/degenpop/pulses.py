@@ -6,9 +6,10 @@ shape is one frozen dataclass deriving from :class:`Pulse`, registered in
 ``PULSE_KINDS`` under the ``kind`` its run configuration ``pulse`` section
 names.  A new envelope sets ``kind`` and ``schema`` and implements
 ``values``, ``action_values`` (in closed form), ``peak`` and ``max_step``.
-It may override ``breakpoints``, ``reference_time`` and ``invert_action``,
-and overrides ``from_dict``, the reader of its ``pulse`` section, when one
-of its fields is not a number.
+It may override ``breakpoints``, ``reference_time``, ``invert_action`` and
+``piecewise_constant``, which ``numeric.resolution_bound`` reads, and
+overrides ``from_dict``, the reader of its ``pulse`` section, when one of
+its fields is not a number.
 """
 
 from __future__ import annotations
@@ -403,24 +404,27 @@ def load_sampled_csv(path) -> SampledPulse:
     :class:`SampledPulse` checks the values."""
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigError(f"samples_file must be a path string, not {path!r}")
-    with open(path) as fh:
-        if not _HEADER.fullmatch(fh.readline()):
-            raise ConfigError("expected CSV header 't,V'")
-        try:
-            with warnings.catch_warnings():  # a file without rows is refused below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        except ValueError as exc:
-            # numpy counts the rows without the empty lines it skips, from 0 in
-            # a value error and from 1 in a field-count error
-            columns = "columns" in str(exc)
-            rule = "row must hold the two fields t,V" if columns else "values must be numbers"
-            row = re.search(r"at row (\d+)", str(exc))
-            if row is None:  # not about a row: text that does not decode
-                raise ConfigError(f"samples_file {rule}: {exc}") from None
-            raise _row_error(fh, int(row[1]) - columns, rule) from None
-        if rows.shape[1] != 2 and rows.size:
-            raise _row_error(fh, 0, f"rows must hold the two fields t,V, not {rows.shape[1]}")
+    try:
+        with open(path) as fh:
+            if not _HEADER.fullmatch(fh.readline()):
+                raise ConfigError("expected CSV header 't,V'")
+            try:
+                with warnings.catch_warnings():  # a file without rows is refused below
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+            except ValueError as exc:
+                row = re.search(r"at row (\d+)", str(exc))
+                if row is None:  # not about a row: text that does not decode, refused below
+                    raise
+                # numpy counts the rows without the empty lines it skips, from 0 in
+                # a value error and from 1 in a field-count error
+                columns = "columns" in str(exc)
+                rule = "row must hold the two fields t,V" if columns else "values must be numbers"
+                raise _row_error(fh, int(row[1]) - columns, rule) from None
+            if rows.shape[1] != 2 and rows.size:
+                raise _row_error(fh, 0, f"rows must hold the two fields t,V, not {rows.shape[1]}")
+    except UnicodeDecodeError as exc:  # from the header, a row, or a line _row_error counts
+        raise ConfigError(f"samples_file is not text: {exc}") from None
     if len(rows) < 2:
         raise ConfigError("need at least 2 samples")
     return SampledPulse(rows[:, 0], rows[:, 1])

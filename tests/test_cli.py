@@ -69,6 +69,17 @@ def test_empty_widths_exit_two_and_name_the_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["leakage", "--ratios", "1,x"],
+                                  ["kick", "--A0", "1", "--widths", "0.4,x"]],
+                         ids=["ratios", "widths"])
+def test_non_number_list_entry_exits_two_and_names_the_flag(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert cli.main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: could not convert string to float: 'x'" in err
+    assert not out.exists()
+
+
 def test_blank_ratio_entries_print_the_same_bytes(capsys):
     assert cli.main(["leakage", "--ratios", "1,10"]) == 0
     plain = capsys.readouterr().out
@@ -452,6 +463,17 @@ def test_malformed_samples_exit_two_and_name_the_key(tmp_path, capsys, pulse):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_samples_file_that_is_not_text_exits_two_and_names_the_key(tmp_path, capsys):
+    envelope = tmp_path / "envelope.csv"
+    envelope.write_bytes(b"t,V\n0,1\n1,\xff\n")
+    config, raw = write_variant_config(tmp_path, "custom_sampled")
+    raw["pulse"] = {"kind": "custom_sampled", "samples_file": str(envelope)}
+    config.write_text(json.dumps(raw))
+    assert cli.main(["--config", str(config), "simulate"]) == 2
+    assert capsys.readouterr().err.startswith("error: samples_file is not text: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_kick_support_error_names_the_flags(tmp_path, capsys):
     out = tmp_path / "kick.csv"
     argv = ["--out", str(out), "kick", "--A0", "1", "--widths", "0.4", "--t0", "0.1"]
@@ -578,8 +600,11 @@ def test_fuzzed_configs_exit_zero_or_two_without_traceback(kind, edits, section,
     ("model", {"n": 1}, "model.n"),
     ("model", {"n": 4, "beta": 2.0}, "model.beta"),
     ("model", {"reduced_multiplicity": 1}, "reduced_multiplicity"),
+    ("model", {"n": 2, "beta": DELETE}, "model.alpha"),
+    ("model", {"n": 2, "alpha": DELETE}, "model.beta"),
 ], ids=["pulse.chi-missing", "samples-missing", "t_end-negative", "dt-zero",
-        "dt-negative", "alpha-string", "n-one", "beta-at-n4", "reduced_multiplicity"])
+        "dt-negative", "alpha-string", "n-one", "beta-at-n4", "reduced_multiplicity",
+        "alpha-at-n2", "beta-at-n2"])
 def test_rejected_config_names_its_key(tmp_path, capsys, section, edit, key):
     config = write_config(tmp_path)
     raw = json.loads(config.read_text())

@@ -276,9 +276,9 @@ def test_prefix_states_is_the_sequential_product(total, n):
     for u in steps:
         b = u @ b
         ref.append(b)
-    got = numeric._prefix_states(batch_last(steps).copy(), b0)
-    assert got.shape == (n, total)
-    assert np.max(np.abs(got - np.array(ref).T)) < 1e-14
+    got = numeric._prefix_states(batch_last(steps)[:, :, None].copy(), b0[:, None])
+    assert got.shape == (n, 1, total)
+    assert np.max(np.abs(got[:, 0] - np.array(ref).T)) < 1e-14
 
 
 @pytest.mark.parametrize("runs", [1, 3])
@@ -291,7 +291,8 @@ def test_prefix_states_of_stacked_runs_are_each_runs_own(n, total, runs):
     got = numeric._prefix_states(steps, b0)
     assert got.shape == (n, runs, total)
     for j in range(runs):
-        assert np.array_equal(got[:, j], numeric._prefix_states(steps[:, :, j].copy(), b0[:, j]))
+        alone = numeric._prefix_states(steps[:, :, j:j + 1].copy(), b0[:, j:j + 1])
+        assert np.array_equal(got[:, j:j + 1], alone)
 
 
 def test_cf4_chunk_holds_at_most_chunk_steps_matrices_over_all_runs(monkeypatch):
@@ -306,11 +307,13 @@ def test_cf4_chunk_holds_at_most_chunk_steps_matrices_over_all_runs(monkeypatch)
         return propagators(x)
 
     monkeypatch.setattr(numeric, "_propagators", spy)
-    got = numeric._cf4(half, r_sym, u, steps, numeric._ground(half.shape))
+    got = numeric._cf4(half, r_sym, u, steps)
     assert [s[3] * s[4] for s in shapes] == [3 * 1365, 3 * 1365, 3 * 270]
+    assert got.shape == (3, 3, 3001)
+    assert np.array_equal(got[..., 0], [[1, 1, 1], [0, 0, 0], [0, 0, 0]])
     for j, e in enumerate(energies.T):
         run = integrate(model.with_energies(e), dt, 3000 * dt)
-        assert np.max(np.abs(got[:, j].T - run.amplitudes[1:])) < 1e-12
+        assert np.max(np.abs(got[:, j].T - run.amplitudes)) < 1e-12
 
 
 def random_symmetric(rng, n, norm, batch):
@@ -454,13 +457,13 @@ def test_leakage_scan_matches_dop853():
     def family(omega21):
         return standard_2state(0.0, 0.0, pulse).with_energies([0.0, omega21])
 
-    ratios = [1.0, 3.7, 100.0, math.inf]
+    ratios = [0.1, 0.3, 1.0, 3.7, 100.0, math.inf]
     rows = leakage_scan(standard_2state(0.0, 0.0, pulse), ratios)
     assert [r for r, _ in rows] == ratios
     for ratio, loss in rows:
         model = family(0.0 if math.isinf(ratio) else 1.0 / ratio)
         a2 = dop853(model, np.array([0.0, pulse.quarter_period]))[-1, 1]
-        assert abs(loss - (1.0 - abs(a2) ** 2)) < 1e-11
+        assert abs(loss - (1.0 - abs(a2) ** 2)) < 1e-12
 
 
 @pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
@@ -524,6 +527,13 @@ def test_leakage_scan_checks_every_ratio_before_it_propagates(monkeypatch, ratio
 def test_leakage_scan_needs_a_harmonic_pulse():
     with pytest.raises(DomainError, match="harmonic pulse"):
         leakage_scan(standard_2state(0.0, 0.0, RectKickPulse(1.0, 1.0, 0.4)), [1.0])
+
+
+def test_leakage_scan_needs_a_two_state_model_before_it_propagates(monkeypatch):
+    spy_propagation(monkeypatch)
+    model = standard_3state(0.3, 1.0, np.zeros(3), LEAKAGE_PULSE)
+    with pytest.raises(DomainError, match="two-state model, got n=3$"):
+        leakage_scan(model, [10.0])
 
 
 def compare_pair(times_b=None):

@@ -58,6 +58,22 @@ def test_delta_kick_has_no_pointwise_value():
         p.value(1.0)
 
 
+def test_delta_kick_has_no_peak():
+    with pytest.raises(PointwiseUndefined):
+        DeltaKickPulse(area=1.0, center=1.0).peak
+
+
+def test_rect_kick_peak_is_its_height_in_magnitude():
+    assert RectKickPulse(area=-2.0, center=1.0, width=0.5).peak == 4.0
+
+
+@pytest.mark.parametrize("pulse, cuts", [
+    (DeltaKickPulse(1.3, 2.0), (2.0,)), (RectKickPulse(1.3, 2.0, 0.5), (1.75, 2.25)),
+], ids=["delta_kick", "rect_kick"])
+def test_kick_breakpoints_are_where_its_action_jumps_or_bends(pulse, cuts):
+    assert pulse.breakpoints() == cuts
+
+
 def test_omega_must_be_positive():
     with pytest.raises(ValueError):
         HarmonicPulse(chi=1.0, omega=0.0)
@@ -228,6 +244,25 @@ def test_solve_action_harmonic_peak_tolerance():
 def test_solve_action_zero_target():
     p = HarmonicPulse(chi=1.0, omega=1.0)
     assert p.invert_action(0.0) == 0.0
+
+
+@pytest.mark.parametrize("target", [0.0, ACTION_SOLVE_TOL])
+def test_solve_action_sampled_target_within_tolerance_of_zero_is_time_zero(target):
+    p = SampledPulse(np.array([-1.0, 1.0, 3.0]), np.array([0.0, 2.0, 2.0]))
+    assert p.invert_action(target) == 0.0
+
+
+def test_solve_action_sampled_end_tolerance():
+    p = SampledPulse(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+    assert p.invert_action(2.0 + ACTION_SOLVE_TOL) == 2.0
+    with pytest.raises(Unattainable):
+        p.invert_action(2.0 + 2.0 * ACTION_SOLVE_TOL)
+
+
+def test_solve_action_sampled_rejects_a_non_monotone_action():
+    p = SampledPulse(np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, -1.0]))
+    with pytest.raises(OutOfDomain, match="not monotone"):
+        p.invert_action(0.1)
 
 
 def test_solve_action_unattainable():
@@ -406,6 +441,22 @@ def test_sampled_csv_format_verdicts(tmp_path, name):
     if name not in ("underscore", "fullwidth-digit"):
         with pytest.raises(kind):
             load_sampled_csv_by_rows(path)
+
+
+# 898 rows of 10 bytes: they run past the first 8 KiB that a text file decodes at once
+_PLAIN_ROWS = b"".join(b"%4d,%4d\n" % (k, k % 7) for k in range(2, 900))
+
+
+@pytest.mark.parametrize("data", [
+    b"t,\xffV\n0,1\n1,2\n" + _PLAIN_ROWS,
+    b"t,V\n0,1\n1,\xff2\n" + _PLAIN_ROWS,
+    b"t,V\n0,1\n1,2\n" + _PLAIN_ROWS + b"900,\xff\n",
+], ids=["header", "early-row", "late-row"])
+def test_sampled_csv_that_is_not_text_names_the_key(tmp_path, data):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="^samples_file is not text: .*0xff"):
+        load_sampled_csv(path)
 
 
 def test_sampled_csv_path_must_be_a_path():
