@@ -77,12 +77,15 @@ def eigen_residual(basis: DressedBasis, w: np.ndarray) -> float:
     return float(np.max(np.abs(res)))
 
 
-def _product(a, b):
+def _product(a, b, out=None, tmp=None):
     """``a @ b`` over the first two axes, with numpy broadcasting over the
     trailing ones (both operands have the same number of axes): the inner
     index is summed in index order, one elementwise multiply and add per
-    term.  On 2-d operands it is the plain matrix product."""
-    out = a[:, :1] * b[:1]
+    term.  On 2-d operands it is the plain matrix product.  The first term
+    is written into ``out`` and every later one into ``tmp`` before it is
+    added, each a new array where it is not given; neither may overlap
+    ``a`` or ``b``.  Returns ``out``."""
+    out = np.multiply(a[:, :1], b[:1], out=out)
     for j in range(1, a.shape[1]):
-        out += a[:, j:j + 1] * b[j:j + 1]
+        out += np.multiply(a[:, j:j + 1], b[j:j + 1], out=tmp)
     return out

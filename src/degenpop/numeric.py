@@ -41,7 +41,17 @@ checks its ratios and builds their grid once, then propagates as many
 runs per CF4 pass as fill one chunk of ``_CHUNK_STEPS`` step matrices: up
 to 8 ratios of its 500-step grid in one pass.  A scan of thousands of
 ratios so holds no more step matrices at once than one run does, and each
-run's steps are chunked as in a scan of that ratio alone.
+run's steps are chunked as in a scan of that ratio alone.  Runs may also
+have grids of their own: :func:`kick_convergence` pads each width's grid
+at its start with zero-length steps, whose factors are exactly the
+identity, and propagates the widths of a scan in as few passes as keep
+each within one chunk, one pass for widths 0.4 to 0.05.
+
+Each :func:`_cf4` call allocates one float64 workspace, sized for its
+largest chunk, and every stack of a chunk (generators, Taylor terms,
+exponentials, the steps and each product's terms) is a slice of it, so
+the fresh pages of an array per term are paid once a call.  The
+arithmetic, and so every output bit, is that of a new array per term.
 """
 
 from __future__ import annotations
@@ -70,20 +80,24 @@ _TAYLOR_TOL = 2.0 ** -54
 
 
 def resolution_bound(model: CouplingModel) -> float:
-    """Largest admissible dt for this model's pulse and strength matrix.
+    """Largest admissible dt for this model's pulse, strength matrix and energies.
 
     The step must resolve the envelope's own shape (its ``max_step``).
     CF4 is exact at any step on a piecewise-constant envelope, so that is
     the whole bound there; any other step must also resolve the fastest
     dressed phase, ``max|z|`` of :func:`decompose_general` times the peak
-    envelope, 1/200 of its period.  Raises PointwiseUndefined for a pulse
-    without a pointwise envelope.
+    envelope, plus half the spread of the bare energies, ``(max E - min
+    E)/2``, which sets the fastest phase between the states where the drive
+    is weak: 1/200 of the period of that sum.  Raises PointwiseUndefined
+    for a pulse without a pointwise envelope.
     """
     pulse = model.pulse
     bound = pulse.max_step
     if pulse.piecewise_constant:
         return bound
-    rate = float(np.max(np.abs(decompose_general(model).z))) * pulse.peak
+    energies = model.energies
+    rate = (float(np.max(np.abs(decompose_general(model).z))) * pulse.peak
+            + 0.5 * float(energies.max() - energies.min()))
     if rate > 0:
         bound = min(bound, 2.0 * math.pi / rate / STEPS_PER_PERIOD)
     return bound
@@ -213,10 +227,21 @@ def kick_convergence(model: CouplingModel, widths) -> list[tuple[float, float]]:
 
     ``model.pulse`` is a :class:`RectKickPulse`; its width is replaced by
     each of ``widths``, positive and strictly decreasing, keeping its area
-    and center.  Each kicked model is integrated up to the kick's right
-    edge at its :func:`resolution_bound`, the width.  Every segment of a
+    and center.  Each kicked model is propagated up to the kick's right
+    edge at its :func:`resolution_bound`, the width, as :func:`integrate`
+    would, and each row is its run's last state.  Every segment of a
     rectangular kick is flat, where CF4 is exact, so the result at each
     width is exact whatever the step.
+
+    Every width's grid is checked before any step is propagated.  The runs
+    share the model's ``r`` and energies but not their grids, so each
+    :func:`_cf4` pass takes consecutive widths, as many as keep runs times
+    the longest grid within ``_CHUNK_STEPS`` step matrices (one width at
+    least), and pads each shorter grid at its start with zero-length
+    steps, whose factors are exactly the identity.  A row differs from
+    that width propagated alone only by rounding: the padding moves the
+    blocks of :func:`_prefix_states`, and the largest step generator of
+    the pass sets :func:`_propagators`' one Taylor degree.
     """
     if not isinstance(model.pulse, RectKickPulse):
         raise DomainError("kick convergence needs a rectangular kick")
@@ -225,12 +250,29 @@ def kick_convergence(model: CouplingModel, widths) -> list[tuple[float, float]]:
         raise DomainError("widths must be positive")
     if any(b >= a for a, b in zip(widths, widths[1:])):
         raise DomainError("widths must be strictly decreasing")
-    out = []
+    grids = []
     for w in widths:
         kicked = model.with_pulse(replace(model.pulse, width=w))
-        traj = integrate(kicked, resolution_bound(kicked), kicked.pulse.right)
-        out.append((w, float(traj.probabilities[-1, 1])))
-    return out
+        _, half, r_sym, u, steps = _steps(kicked, model.energies[:, None],
+                                          resolution_bound(kicked), kicked.pulse.right)
+        grids.append((u, steps))
+    # every width shares the model's r and energies, so half and r_sym are every run's
+    passes = [grids[:1]]
+    for grid in grids[1:]:
+        group = passes[-1] + [grid]
+        if len(group) * max(steps.size for _, steps in group) <= _CHUNK_STEPS:
+            passes[-1] = group
+        else:
+            passes.append([grid])
+    p2 = []
+    for group in passes:
+        runs, longest = len(group), max(steps.size for _, steps in group)
+        u, steps = np.zeros((2, runs, longest)), np.zeros((runs, longest))
+        for j, (uj, hj) in enumerate(group):
+            u[:, j, longest - hj.size:], steps[j, longest - hj.size:] = uj, hj
+        last = _cf4(np.repeat(half, runs, axis=1), r_sym, u, steps)[:, :, -1]
+        p2.extend(np.abs(last[1] / np.sqrt(model.closure_weights[1])) ** 2)
+    return [(w, float(p)) for w, p in zip(widths, p2)]
 
 
 def _grid(pulse, t_end: float, dt: float):
@@ -252,28 +294,47 @@ def _cf4(half, r_sym, u, steps):
     Step k of run j is ``exp(-i h (E/2 + u[1, k] r)) exp(-i h (E/2 + u[0, k] r))``
     with ``half[:, j] = E/2``; ``u`` holds the envelope at the two Gauss nodes
     mixed by the CF4 weights: u[0] weights the earlier node more, u[1] the
-    later one.  The result is (n, R, steps + 1), state 1 first.  One
-    :func:`_propagators` call makes both exponentials of a chunk's steps
-    over all runs, batch-last as (n, n, 2, R, steps); a chunk holds at most
-    ``_CHUNK_STEPS`` step matrices over all runs, and one step at least.
+    later one.  Runs share one grid, ``steps`` (S,) and ``u`` (2, S), or each
+    has its own, (R, S) and (2, R, S).  The result is (n, R, S + 1), state 1
+    first.  One :func:`_propagators` call makes both exponentials of a
+    chunk's steps over all runs, batch-last as (n, n, 2, R, steps); a chunk
+    holds at most ``_CHUNK_STEPS`` step matrices over all runs, and one step
+    at least.  Every buffer of a chunk is a slice of one float64 workspace
+    of 7 real generator stacks of the largest chunk, allocated once a call:
+    the generators, :func:`_propagators`' four Taylor stacks and its complex
+    result.  Once the series is done its Taylor memory takes the steps
+    ``f1 f0`` in :func:`_blocks`' layout and their product's term.  Every
+    offset is even, so each complex view is aligned.
     """
     n, runs = half.shape
-    size = max(1, _CHUNK_STEPS // runs)
-    out = np.zeros((n, runs, steps.size + 1), dtype=complex)
+    total = steps.shape[-1]
+    steps = np.atleast_2d(steps)
+    u = u.reshape(2, len(steps), total)
+    size = max(1, min(_CHUNK_STEPS // runs, total))
+    out = np.zeros((n, runs, total + 1), dtype=complex)
     out[0, :, 0] = 1.0
-    for c in range(0, steps.size, size):
-        h = steps[c:c + size]
-        x = np.multiply(r_sym[:, :, None, None, None], (h * u[:, c:c + size])[:, None],
-                        out=np.empty((n, n, 2, runs, h.size)))
+    work = np.empty(7 * n * n * 2 * runs * size)
+    for c in range(0, total, size):
+        h = steps[:, c:c + size]
+        count = h.shape[-1]
+        shape = (n, n, 2, runs, count)
+        k = math.prod(shape)  # floats in one real stack of the chunk
+        x, *taylor = (work[j * k:(j + 1) * k].reshape(shape) for j in range(5))
+        np.multiply(r_sym[:, :, None, None, None], h * u[..., c:c + size], out=x)
         _diagonal(x)[...] += half[:, None, :, None] * h
-        f = _propagators(x)
-        out[..., c + 1:c + size + 1] = _prefix_states(_product(f[:, :, 1], f[:, :, 0]),
-                                                      out[..., c])
+        f = _propagators(x, taylor, work[5 * k:7 * k].view(complex).reshape(shape))
+        # the series is done: its memory takes the steps f1 f0 and their product's term
+        blocks = _blocks(n, runs, count, work[k:])
+        end = k + 2 * blocks.size
+        _product(f[:, :, 1], f[:, :, 0], out=blocks.reshape(n, n, runs, -1)[..., :count],
+                 tmp=work[end:end + k].view(complex).reshape(f[:, :, 0].shape))
+        out[..., c + 1:c + count + 1] = _prefix_states(blocks, out[..., c])[..., :count]
     return out
 
 
-def _propagators(x):
-    """``exp(-i X)`` for every real matrix ``X = x[:, :, k...]``, batch-last.
+def _propagators(x, taylor, out):
+    """``exp(-i X)`` for every real matrix ``X = x[:, :, k...]``, batch-last,
+    written into the complex ``out`` of x's shape, which it returns.
 
     ``exp(-iX) = C(X) - i S(X)``, the cosine and sine series evaluated in
     real arithmetic by Horner's rule in ``X^2``.  A matrix whose norm
@@ -283,37 +344,44 @@ def _propagators(x):
     lowest degree m >= 3 whose remainder ``theta^(m+1)/(m+1)!`` is below
     2^-54, for theta the largest scaled norm of the call: degree 5 to 7
     on resolved steps (theta 0.002 to 0.03), 18 at theta = 1.  X = 0 gives
-    exactly the identity.  No LAPACK call is made.
+    exactly the identity.  No LAPACK call is made.  ``x`` is scaled in
+    place, and the series is formed in ``taylor``, four real stacks of x's
+    shape: ``X^2``, two Horner stacks that take turns, and each product's
+    term.  ``x``, ``out`` and every Taylor stack are C-contiguous and do
+    not overlap.  The squarings make new arrays.
     """
     shape, n = x.shape, x.shape[0]
     x = x.reshape(n, n, -1)
-    norm = np.abs(x).sum(axis=1).max(axis=0)
+    y, ping, pong, term = (t.reshape(n, n, -1) for t in taylor)
+    u = out.reshape(n, n, -1)
+    norm = np.abs(x, out=y).sum(axis=1).max(axis=0)
     s = np.ceil(np.log2(np.maximum(norm, 1.0))).astype(np.int32)  # ldexp's own exponent type
-    x = np.ldexp(x, -s)
+    np.ldexp(x, -s, out=x)
     theta = float(np.max(np.ldexp(norm, -s), initial=0.0))
     m = 3
     while theta ** (m + 1) / math.factorial(m + 1) >= _TAYLOR_TOL:
         m += 1
-    y = _product(x, x)
-    cos = _horner(y, [(-1) ** (k // 2) / math.factorial(k) for k in range(0, m + 1, 2)])
-    sin = _product(x, _horner(y, [(-1) ** (k // 2) / math.factorial(k)
-                                  for k in range(1, m + 1, 2)]))
-    u = np.empty(cos.shape, dtype=complex)
-    u.real = cos
-    np.negative(sin, out=u.imag)
+    _product(x, x, out=y, tmp=term)
+    u.real = _horner(y, [(-1) ** (k // 2) / math.factorial(k) for k in range(0, m + 1, 2)],
+                     ping, pong, term)
+    sin = _horner(y, [(-1) ** (k // 2) / math.factorial(k) for k in range(1, m + 1, 2)],
+                  ping, pong, term)
+    np.negative(_product(x, sin, out=y, tmp=term), out=u.imag)
     for j in range(int(s.max(initial=0))):
         big = np.flatnonzero(s > j)
         u[..., big] = _product(u[..., big], u[..., big])
-    return u.reshape(shape)
+    return out
 
 
-def _horner(y, coefs):
+def _horner(y, coefs, ping, pong, tmp):
     """``sum_j coefs[j] Y^j`` for every matrix ``Y = y[:, :, k]`` by Horner's
-    rule, for two coefficients or more."""
-    p = coefs[-1] * y
+    rule, for two coefficients or more.  The running sum takes turns between
+    ``ping`` and ``pong``, stacks of y's shape, and ``tmp`` holds each
+    product's term; the one that holds the result is returned."""
+    p, spare = np.multiply(coefs[-1], y, out=ping), pong
     _diagonal(p)[...] += coefs[-2]
     for c in reversed(coefs[:-2]):
-        p = _product(y, p)
+        p, spare = _product(y, p, out=spare, tmp=tmp), p
         _diagonal(p)[...] += c
     return p
 
@@ -324,29 +392,40 @@ def _diagonal(a):
     return a.reshape(n * n, *a.shape[2:])[::n + 1]
 
 
-def _prefix_states(steps, b):
+def _blocks(n, runs, total, buf):
+    """The (n, n, R, blocks, size) complex stack that :func:`_prefix_states`
+    multiplies for ``total`` steps of R runs, about sqrt(total) blocks of
+    about sqrt(total) steps, as a view of the start of the float64 ``buf``,
+    which holds ``4 n^2 R total`` floats or more: the stack holds fewer than
+    ``2 total`` steps a run.  Every step from ``total`` on is set to the
+    identity; the caller writes the others, ``reshape(n, n, R, -1)[...,
+    :total]``."""
+    size = max(1, math.isqrt(total))
+    blocks = -(-total // size)
+    shape = (n, n, runs, blocks * size)
+    u = buf[:2 * math.prod(shape)].view(complex).reshape(shape)
+    u[..., total:] = np.eye(n)[:, :, None, None]
+    return u.reshape(n, n, runs, blocks, size)
+
+
+def _prefix_states(u, b):
     """``U_k ... U_1 b`` for every k, by a two-level blocked product.
 
-    ``steps`` is batch-last, (n, n, R, N), for R runs, ``b`` holds a start
-    state per run, (n, R), and the result is (n, R, N).  The steps are cut
-    into about sqrt(N) blocks of about sqrt(N) steps.  The running products
-    inside every block are formed for all blocks and runs at once, the
-    states entering each block are carried across the blocks one block at
-    a time, and one batched product then gives every state.  That is about
-    2 sqrt(N) products for N steps, and O(N) work.  Each batched product is
+    ``u`` is :func:`_blocks`' stack of R runs' steps, which it overwrites,
+    ``b`` holds a start state per run, (n, R), and the result is (n, R,
+    blocks size), one state after every step of the stack, the identity
+    steps that pad it included.  The running products inside every block
+    are formed for all blocks and runs at once, the states entering each
+    block are carried across the blocks one block at a time, and one
+    batched product then gives every state.  That is about 2 sqrt(N)
+    products for N steps, and O(N) work.  Each batched product is
     :func:`dressed._product`'s n elementwise multiplies and n - 1 adds, so
     about 2n sqrt(N) numpy calls in all, however many runs; a stacked
     ``matmul`` would make one BLAS call per step matrix.  The carry is one
     matrix-vector ``@`` per block, stacked over the runs, which costs less
     than ``_product``'s 2n - 1 calls.
     """
-    (n, runs), total = b.shape, steps.shape[-1]
-    size = max(1, math.isqrt(total))
-    blocks = -(-total // size)
-    u = np.empty((n, n, runs, blocks * size), dtype=complex)
-    u[..., :total] = steps
-    u[..., total:] = np.eye(n)[:, :, None, None]
-    u = u.reshape(n, n, runs, blocks, size)
+    n, _, runs, blocks, size = u.shape
     for i in range(1, size):
         u[..., i] = _product(u[..., i], u[..., i - 1])
     # the carry's operands, (blocks, R, n, n) and (R, n, 1): matrix axes last for ``@``
@@ -357,4 +436,4 @@ def _prefix_states(steps, b):
         entering[j] = b
         b = ends[j] @ b
     entering = entering.transpose(2, 3, 1, 0)[..., None]
-    return _product(u, entering).reshape(n, runs, -1)[..., :total]
+    return _product(u, entering).reshape(n, runs, -1)

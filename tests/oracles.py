@@ -30,6 +30,10 @@ byte for byte.  :func:`load_sampled_csv_by_rows` is the row-at-a-time
 reader of a sampled envelope file that ``pulses.load_sampled_csv`` must
 match bit for bit, and :func:`leakage_estimate` the order-of-magnitude
 bound that the propagated off-resonant loss must stay below.
+:func:`_propagators`, :func:`_horner` and :func:`_product` are the step
+exponentials, their Horner sums and the ordered product with a new array
+for every term, which ``numeric._propagators``, ``numeric._horner`` and
+``dressed._product`` over a workspace must match bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from degenpop.analytic import amplitudes_many
 from degenpop.control import design_3state
 from degenpop.errors import (ConfigError, DegenerateSpectrum, DimensionTooSmall,
                              FirstComponentZero, InvalidQuantumNumbers)
+from degenpop.numeric import _TAYLOR_TOL, _diagonal
 from degenpop.pulses import SampledPulse
 
 CLOSURE_TOL = 1e-9
@@ -461,3 +466,60 @@ def leakage_estimate(omega21: float, omega: float) -> float:
     transfer, is 22.7 times smaller.
     """
     return 0.25 * (np.pi / 2.0) ** 6 * (omega21 / omega) ** 2
+
+
+def _propagators(x):
+    """``exp(-i X)`` for every real matrix ``X = x[:, :, k...]``, batch-last.
+
+    ``exp(-iX) = C(X) - i S(X)``, the cosine and sine series evaluated in
+    real arithmetic by Horner's rule in ``X^2``.  A matrix whose norm
+    ``||X||_inf`` exceeds 1 is first scaled by ``2^-s``, ``s =
+    ceil(log2 ||X||_inf)``, and its exponential squared s times after
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The series stops at the
+    lowest degree m >= 3 whose remainder ``theta^(m+1)/(m+1)!`` is below
+    2^-54, for theta the largest scaled norm of the call: degree 5 to 7
+    on resolved steps (theta 0.002 to 0.03), 18 at theta = 1.  X = 0 gives
+    exactly the identity.  No LAPACK call is made.
+    """
+    shape, n = x.shape, x.shape[0]
+    x = x.reshape(n, n, -1)
+    norm = np.abs(x).sum(axis=1).max(axis=0)
+    s = np.ceil(np.log2(np.maximum(norm, 1.0))).astype(np.int32)  # ldexp's own exponent type
+    x = np.ldexp(x, -s)
+    theta = float(np.max(np.ldexp(norm, -s), initial=0.0))
+    m = 3
+    while theta ** (m + 1) / math.factorial(m + 1) >= _TAYLOR_TOL:
+        m += 1
+    y = _product(x, x)
+    cos = _horner(y, [(-1) ** (k // 2) / math.factorial(k) for k in range(0, m + 1, 2)])
+    sin = _product(x, _horner(y, [(-1) ** (k // 2) / math.factorial(k)
+                                  for k in range(1, m + 1, 2)]))
+    u = np.empty(cos.shape, dtype=complex)
+    u.real = cos
+    np.negative(sin, out=u.imag)
+    for j in range(int(s.max(initial=0))):
+        big = np.flatnonzero(s > j)
+        u[..., big] = _product(u[..., big], u[..., big])
+    return u.reshape(shape)
+
+
+def _horner(y, coefs):
+    """``sum_j coefs[j] Y^j`` for every matrix ``Y = y[:, :, k]`` by Horner's
+    rule, for two coefficients or more."""
+    p = coefs[-1] * y
+    _diagonal(p)[...] += coefs[-2]
+    for c in reversed(coefs[:-2]):
+        p = _product(y, p)
+        _diagonal(p)[...] += c
+    return p
+
+
+def _product(a, b):
+    """``a @ b`` over the first two axes, with numpy broadcasting over the
+    trailing ones (both operands have the same number of axes): the inner
+    index is summed in index order, one elementwise multiply and add per
+    term.  On 2-d operands it is the plain matrix product."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j:j + 1]
+    return out

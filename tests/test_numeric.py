@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import leakage_estimate
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -118,6 +119,17 @@ def test_resolution_bound_reads_the_dressed_spectrum(model):
     assert resolution_bound(model) == 2.0 * math.pi / rate / 200.0
 
 
+def test_resolution_bound_resolves_the_bare_energies():
+    # a weak drive beside a large splitting: the bare phase E_2 - E_1 is the fastest
+    model = standard_3state(0.3, 1.0, np.zeros(3), HarmonicPulse(1.0, 1.0)).with_energies(
+        [0.0, 500.0, 0.0])
+    rate = float(np.max(np.abs(decompose_general(model).z))) * model.pulse.peak + 250.0
+    dt = resolution_bound(model)
+    assert dt == 2.0 * math.pi / rate / 200.0
+    traj = integrate(model, dt, 2.0)
+    assert np.max(np.abs(traj.amplitudes - dop853(model, traj.times))) < 1e-10
+
+
 @settings(max_examples=200, deadline=None)
 @given(area=st.floats(-3.0, 3.0), width=st.floats(0.01, 1.0), gap=st.floats(0.0, 2.0),
        tail=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0),
@@ -153,19 +165,70 @@ def test_kick_convergence_is_exact_at_every_width():
     assert max(abs(p2 - ref) for _, p2 in rows) < 1e-12
 
 
+def spy_passes(monkeypatch):
+    """Record the step lengths, (runs, steps), of every ``_cf4`` pass."""
+    passes, cf4 = [], numeric._cf4
+
+    def spy(half, r_sym, u, steps):
+        passes.append(steps.copy())
+        return cf4(half, r_sym, u, steps)
+
+    monkeypatch.setattr(numeric, "_cf4", spy)
+    return passes
+
+
 def test_kick_convergence_steps_at_the_kick_width(monkeypatch):
-    seen = []
+    dts, grid = [], numeric._steps
 
-    def spy(model, dt, t_end):
-        traj = integrate(model, dt, t_end)
-        seen.append((dt, traj.times.size - 1))
-        return traj
+    def spy(model, energies, dt, t_end):
+        dts.append(dt)
+        return grid(model, energies, dt, t_end)
 
-    monkeypatch.setattr(numeric, "integrate", spy)
+    monkeypatch.setattr(numeric, "_steps", spy)
+    passes = spy_passes(monkeypatch)
     model = standard_3state(-0.4, 1.0, np.zeros(3), RectKickPulse(1.2, 1.0, 0.4))
     kick_convergence(model, [0.4, 0.2, 0.1, 0.05])
-    assert [dt for dt, _ in seen] == [0.4, 0.2, 0.1, 0.05]
-    assert sum(steps for _, steps in seen) == 41  # the gap before each kick, then the kick
+    assert dts == [0.4, 0.2, 0.1, 0.05]
+    [steps] = passes
+    assert steps.shape == (4, 21)
+    assert np.count_nonzero(steps) == 41  # the gap before each kick, then the kick
+
+
+@pytest.mark.parametrize("widths,match", [
+    ([0.4, 0.1, 1e-320], "kick height must be finite"),
+    ([0.4, 0.1, 1e-17], r"t_end/dt <= 2\*\*53"),
+], ids=["height", "steps"])
+def test_kick_convergence_checks_every_width_before_it_propagates(monkeypatch, widths, match):
+    spy_propagation(monkeypatch)
+    model = standard_3state(-0.4, 1.0, np.zeros(3), RectKickPulse(1.2, 1.0, 0.4))
+    with pytest.raises(DomainError, match=match):
+        kick_convergence(model, widths)
+
+
+@pytest.mark.parametrize("energies", [np.zeros(3), np.array([0.0, 0.7, -0.4])],
+                         ids=["degenerate", "split"])
+def test_kick_convergence_row_is_the_width_scanned_alone(energies):
+    model = standard_3state(-0.4, 1.0, np.zeros(3),
+                            RectKickPulse(1.2, 1.0, 0.4)).with_energies(energies)
+    widths = [0.4, 0.2, 0.1, 0.05, 0.013]
+    for (w, p2), width in zip(kick_convergence(model, widths), widths):
+        [(alone_w, alone)] = kick_convergence(model, [width])
+        assert w == alone_w == width
+        assert abs(p2 - alone) <= 1e-15
+
+
+def test_kick_convergence_splits_wide_scans_into_passes_of_chunk_steps(monkeypatch):
+    passes = spy_passes(monkeypatch)
+    model = standard_3state(-0.4, 1.0, np.zeros(3), RectKickPulse(1.2, 1.0, 0.4))
+    ref = abs(expm(-1.2j * model.r)[1, 0]) ** 2
+    widths = [0.4, 0.01, 0.001, 0.0005, 0.0004]
+    rows = kick_convergence(model, widths)
+    # 3, 101, 1001, 2001 and 2501 steps: 4 x 2001 and 2 x 2501 exceed 4096
+    assert [p.shape for p in passes] == [(3, 1001), (1, 2001), (1, 2501)]
+    assert all(p.size <= numeric._CHUNK_STEPS for p in passes)
+    assert [np.count_nonzero(p) for p in passes] == [3 + 101 + 1001, 2001, 2501]
+    assert [w for w, _ in rows] == widths
+    assert max(abs(p2 - ref) for _, p2 in rows) < 1e-12
 
 
 @pytest.mark.parametrize("widths,match", [
@@ -266,6 +329,14 @@ def test_product_is_matmul(n, shapes):
         assert np.all(np.abs(got - ref) <= 1e-15 * norms)
 
 
+def prefix_states(steps, b):
+    """``_prefix_states`` of the (n, n, R, N) ``steps`` from the states ``b``."""
+    n, _, runs, total = steps.shape
+    blocks = numeric._blocks(n, runs, total, np.empty(4 * n * n * runs * total))
+    blocks.reshape(n, n, runs, -1)[..., :total] = steps
+    return numeric._prefix_states(blocks, b)[..., :total]
+
+
 @pytest.mark.parametrize("total", [1, 2, 3, 4, 5, 16, 17, 31])
 @pytest.mark.parametrize("n", [2, 3])
 def test_prefix_states_is_the_sequential_product(total, n):
@@ -276,7 +347,7 @@ def test_prefix_states_is_the_sequential_product(total, n):
     for u in steps:
         b = u @ b
         ref.append(b)
-    got = numeric._prefix_states(batch_last(steps)[:, :, None].copy(), b0[:, None])
+    got = prefix_states(batch_last(steps)[:, :, None], b0[:, None])
     assert got.shape == (n, 1, total)
     assert np.max(np.abs(got[:, 0] - np.array(ref).T)) < 1e-14
 
@@ -288,10 +359,10 @@ def test_prefix_states_of_stacked_runs_are_each_runs_own(n, total, runs):
     rng = np.random.default_rng(100 * total + runs)
     steps = batch_last(np.linalg.qr(random_complex(rng, (runs, total, n, n)))[0]).copy()
     b0 = random_complex(rng, (n, runs))
-    got = numeric._prefix_states(steps, b0)
+    got = prefix_states(steps, b0)
     assert got.shape == (n, runs, total)
     for j in range(runs):
-        alone = numeric._prefix_states(steps[:, :, j:j + 1].copy(), b0[:, j:j + 1])
+        alone = prefix_states(steps[:, :, j:j + 1], b0[:, j:j + 1])
         assert np.array_equal(got[:, j:j + 1], alone)
 
 
@@ -302,9 +373,9 @@ def test_cf4_chunk_holds_at_most_chunk_steps_matrices_over_all_runs(monkeypatch)
     _, half, r_sym, u, steps = numeric._steps(model, energies, dt, 3000 * dt)
     shapes, propagators = [], numeric._propagators
 
-    def spy(x):
+    def spy(x, taylor, out):
         shapes.append(x.shape)
-        return propagators(x)
+        return propagators(x, taylor, out)
 
     monkeypatch.setattr(numeric, "_propagators", spy)
     got = numeric._cf4(half, r_sym, u, steps)
@@ -338,11 +409,17 @@ def check_exponentials(x, got):
             assert np.array_equal(uk, np.eye(n))
 
 
+def propagators(x):
+    """``_propagators`` of a copy of ``x`` over new buffers."""
+    out = np.empty(x.shape, dtype=complex)
+    return numeric._propagators(x.copy(), np.empty((4, *x.shape)), out)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.03, 1.0, 30.0, 1e4])
 def test_propagators_match_expm(n, norm):
     x = random_symmetric(np.random.default_rng(n), n, norm, 6)
-    check_exponentials(x, numeric._propagators(x))
+    check_exponentials(x, propagators(x))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
@@ -353,9 +430,56 @@ def test_propagators_keep_zero_steps_beside_a_kick(n):
     rng = np.random.default_rng(n)
     x[:, :, 1, 2] = random_symmetric(rng, n, 1e4, 1)[:, :, 0]
     x[:, :, 0, 4] = random_symmetric(rng, n, 0.03, 1)[:, :, 0]
-    got = numeric._propagators(x)
+    got = propagators(x)
     assert got.shape == x.shape
     check_exponentials(x.reshape(n, n, -1), got.reshape(n, n, -1))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.03, 1.0, 30.0, 1e4])
+def test_propagators_over_a_workspace_are_the_allocating_series(n, norm):
+    rng = np.random.default_rng(10 * n)
+    mixed = random_symmetric(rng, n, norm, 12)
+    mixed[..., ::3] = random_symmetric(rng, n, 0.03, 4)  # other squaring counts beside them
+    mixed[..., 1] = 0.0
+    for x in (random_symmetric(rng, n, norm, 6).reshape(n, n, 2, 1, 3),
+              mixed.reshape(n, n, 2, 2, 3)):
+        assert same_bits(propagators(x), oracles._propagators(x))
+
+
+@pytest.mark.parametrize("runs, total", [(1, 1000), (3, 3000)], ids=["one-chunk", "chunks"])
+def test_cf4_workspace_is_the_allocating_series_chunk_by_chunk(monkeypatch, runs, total):
+    model = split_3state()
+    energies = np.array([[0.0, 0.5, -0.3], [0.0, 0.0, 0.0], [0.2, -0.4, 0.1]]).T[:, :runs]
+    dt = resolution_bound(model)
+    _, half, r_sym, u, steps = numeric._steps(model, energies, dt, total * dt)
+    chunks, propagators, prefix_states = [], numeric._propagators, numeric._prefix_states
+
+    def spy_propagators(x, taylor, out):
+        ref = oracles._propagators(x.copy())
+        got = propagators(x, taylor, out)
+        assert same_bits(got, ref)
+        chunks.append(oracles._product(ref[:, :, 1], ref[:, :, 0]))
+        return got
+
+    def spy_prefix_states(blocks, b):
+        # the steps f1 f0, then the identity
+        n, _, r, nb, size = blocks.shape
+        stack = blocks.reshape(n, n, r, -1)
+        steps = chunks[-1].shape[-1]
+        assert same_bits(stack[..., :steps], chunks[-1])
+        assert np.array_equal(stack[..., steps:], np.broadcast_to(
+            np.eye(n)[:, :, None, None], (n, n, r, nb * size - steps)))
+        return prefix_states(blocks, b)
+
+    monkeypatch.setattr(numeric, "_propagators", spy_propagators)
+    monkeypatch.setattr(numeric, "_prefix_states", spy_prefix_states)
+    numeric._cf4(half, r_sym, u, steps)
+    assert [c.shape[-1] for c in chunks] == ([1000] if runs == 1 else [1365, 1365, 270])
 
 
 @pytest.mark.parametrize("pulse, t_end, dt", [
